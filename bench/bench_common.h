@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -28,8 +27,8 @@ struct CommonOptions {
   std::string trace_path;    ///< --trace=PATH (empty: no trace)
   std::string metrics_path;  ///< --metrics=PATH (empty: no metrics CSV)
   std::string profile_path;  ///< --profile[=PATH] ("true": stderr only)
-  int reps = 1;              ///< --reps=N / WSNQ_BENCH_REPS
-  int warmup = 0;            ///< --warmup=N / WSNQ_BENCH_WARMUP
+  int reps = 1;              ///< --reps=N
+  int warmup = 0;            ///< --warmup=N
 };
 
 inline CommonOptions& Options() {
@@ -46,16 +45,6 @@ inline SimulationConfig DefaultSyntheticConfig() {
   config.synthetic.period_rounds = 125;
   config.synthetic.noise_percent = 5;
   return config;
-}
-
-/// Startup-time env default for the harness knobs (0 is a legal value for
-/// --warmup, so unlike core's IntFromEnv this keeps non-negative parses).
-inline int HarnessIntFromEnv(const char* name, int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  const int parsed = std::atoi(raw);
-  return parsed >= 0 ? parsed : fallback;
 }
 
 /// Parses the flags every bench shares into `config`:
@@ -75,11 +64,11 @@ inline int HarnessIntFromEnv(const char* name, int fallback) {
 ///                    stages carry hardware-counter/alloc deltas where the
 ///                    host provides them.
 ///   --reps=N         measured repetitions of the sweep computation
-///                    (default 1 / WSNQ_BENCH_REPS). Rows print once (rep
-///                    0); the "# bench" stderr line reports median/MAD/CV
-///                    over the reps, so stdout stays byte-identical.
+///                    (default 1). Rows print once (rep 0); the "# bench"
+///                    stderr line reports median/MAD/CV over the reps, so
+///                    stdout stays byte-identical.
 ///   --warmup=N       unmeasured warmup repetitions before the first
-///                    measured one (default 0 / WSNQ_BENCH_WARMUP).
+///                    measured one (default 0).
 /// Returns false (after printing to stderr) on malformed values or unknown
 /// flags, so typos fail the bench instead of silently running defaults.
 inline bool ParseCommonFlags(int argc, const char* const* argv,
@@ -92,10 +81,8 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
   Options().trace_path = flags.GetString("trace", "");
   Options().metrics_path = flags.GetString("metrics", "");
   Options().profile_path = flags.GetString("profile", "");
-  Options().reps = static_cast<int>(
-      flags.GetInt("reps", HarnessIntFromEnv("WSNQ_BENCH_REPS", 1)));
-  Options().warmup = static_cast<int>(
-      flags.GetInt("warmup", HarnessIntFromEnv("WSNQ_BENCH_WARMUP", 0)));
+  Options().reps = static_cast<int>(flags.GetInt("reps", 1));
+  Options().warmup = static_cast<int>(flags.GetInt("warmup", 0));
   config->collect_metrics = !Options().metrics_path.empty();
   bool ok = true;
   for (const std::string& error : flags.errors()) {
@@ -160,7 +147,7 @@ inline int FinishObservability(int code) {
 /// ScenarioCache across all of them — topology-invariant sweeps (fig7's
 /// period, fig8's noise) build their deployments once; stdout is identical
 /// to the historical per-point loop. Prints a timing footer to stderr (see
-/// PrintTimingFooter) so speedups from --threads can be recorded without
+/// PrintTimingFooter) so wall clock under --threads can be recorded without
 /// touching the deterministic stdout.
 inline int RunSweep(
     const std::string& figure, const std::string& dataset,
@@ -236,10 +223,7 @@ inline int RunSweep(
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* baseline_env = std::getenv("WSNQ_BASELINE_WALL_S");
-  PrintTimingFooter(figure, ResolveThreads(base.threads), runs, wall_seconds,
-                    baseline_env != nullptr ? std::atof(baseline_env) : 0.0);
+  PrintTimingFooter(figure, ResolveThreads(base.threads), runs, wall_seconds);
   if (total_errors != 0) {
     std::fprintf(stderr, "ORACLE MISMATCHES: %lld\n",
                  static_cast<long long>(total_errors));

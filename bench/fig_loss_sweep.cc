@@ -93,10 +93,7 @@ int main(int argc, char** argv) {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* baseline_env = std::getenv("WSNQ_BASELINE_WALL_S");
   PrintTimingFooter("fig-loss-sweep", ResolveThreads(base.threads), runs,
-                    wall_seconds,
-                    baseline_env != nullptr ? std::atof(baseline_env) : 0.0);
+                    wall_seconds);
   return bench::FinishObservability(0);
 }

@@ -199,9 +199,7 @@ BENCHMARK(BM_FullProtocolRound);
 // The experiment hot loop (core/experiment.cc's run_protocols stage): one
 // update round of every paper protocol over a shared synthetic scenario
 // with materialized value rows. Per-protocol per-round cost is the
-// items/s counter (items = protocol-rounds). The struct-of-arrays wave
-// workspaces (algo/common.h) are on by default; run with WSNQ_SOA=0 to
-// pin the legacy per-wave allocation layout for an A/B.
+// items/s counter (items = protocol-rounds).
 void BM_RunProtocols(benchmark::State& state) {
   SimulationConfig config;
   config.num_sensors = static_cast<int>(state.range(0));

@@ -1,29 +1,11 @@
 #include "algo/common.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 
 #include "util/check.h"
 
 namespace wsnq {
-namespace {
-
-/// WSNQ_SOA=0 disables buffer reuse (A/B pin for the bench harness); any
-/// other value — or an unset variable — keeps the struct-of-arrays reuse.
-bool SoaReuseEnabled() {
-  const char* env = std::getenv("WSNQ_SOA");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-/// Releases a buffer's heap storage (the WSNQ_SOA=0 allocate-per-wave pin).
-template <typename T>
-void ReleaseBuffer(std::vector<T>* buffer) {
-  std::vector<T>().swap(*buffer);
-}
-
-}  // namespace
 
 void ValidationAgg::Merge(const ValidationAgg& other) {
   into_lt += other.into_lt;
@@ -58,24 +40,19 @@ void ValidationAgg::AddTransition(Region from, Region to, int64_t value) {
   }
 }
 
-WaveWorkspace::WaveWorkspace() : reuse_(SoaReuseEnabled()) {}
-
 std::vector<ValidationAgg>& WaveWorkspace::PrepareAggRows(size_t n,
                                                           size_t rows) {
-  if (!reuse_) ReleaseBuffer(&agg_);
   agg_.assign(n * rows, ValidationAgg{});
   return agg_;
 }
 
 std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareSets(size_t n) {
-  if (!reuse_) ReleaseBuffer(&sets_);
   if (sets_.size() < n) sets_.resize(n);
   for (size_t i = 0; i < n; ++i) sets_[i].clear();
   return sets_;
 }
 
 std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareWindows(size_t n) {
-  if (!reuse_) ReleaseBuffer(&windows_);
   if (windows_.size() < n) windows_.resize(n);
   for (size_t i = 0; i < n; ++i) windows_[i].clear();
   return windows_;
@@ -83,19 +60,12 @@ std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareWindows(size_t n) {
 
 std::vector<std::vector<std::pair<int, int64_t>>>&
 WaveWorkspace::PrepareDeltas(size_t n) {
-  if (!reuse_) ReleaseBuffer(&deltas_);
   if (deltas_.size() < n) deltas_.resize(n);
   for (size_t i = 0; i < n; ++i) deltas_[i].clear();
   return deltas_;
 }
 
 void WaveWorkspace::PrepareHist(size_t n, size_t buckets) {
-  if (!reuse_) {
-    ReleaseBuffer(&hist_);
-    ReleaseBuffer(&hist_total_);
-    ReleaseBuffer(&hist_epoch_);
-    hist_wave_ = 0;
-  }
   if (hist_.size() < n * buckets) hist_.resize(n * buckets);
   if (hist_epoch_.size() < n || hist_buckets_ != buckets) {
     // Row stride changed: existing epochs refer to other row offsets.

@@ -70,7 +70,7 @@ struct SimulationConfig {
   /// fan out over the deterministic pool in util/thread_pool.h and are
   /// folded back in run order, so results are bit-identical for every
   /// value. 0 = auto (WSNQ_THREADS env var, else hardware concurrency);
-  /// 1 = the legacy serial path.
+  /// 1 = serial (a size-1 pool runs every run inline in index order).
   int threads = 0;
 
   /// Partition every convergecast wave at a balanced cut of the routing

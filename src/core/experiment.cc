@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 
 #include "net/wave.h"
@@ -9,6 +8,7 @@
 #include "core/scenario_cache.h"
 #include "core/simulation.h"
 #include "util/check.h"
+#include "util/env.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -66,8 +66,8 @@ Status ExecuteRun(const SimulationConfig& config,
   // executor it borrows (it is installed below, not owned).
   std::optional<WaveExecutor> wave_executor;
   StatusOr<Scenario> scenario = [&] {
-    // With a prepared cache this is assembly only (all artifact lookups
-    // hit); the construction cost then shows up under
+    // The cache is prepared, so this is assembly only (all artifact
+    // lookups hit); the construction cost shows up under
     // experiment/prepare_cache instead.
     prof::ScopedTimer timer("experiment/build_scenario");
     return BuildScenario(config, run, cache);
@@ -106,8 +106,8 @@ Status ExecuteRun(const SimulationConfig& config,
   return Status::Ok();
 }
 
-/// RunExperiment body, parameterized over an optional prepared cache so
-/// RunSweep can share one cache across sweep points.
+/// RunExperiment body over a prepared (sealed) cache, so RunSweep can share
+/// one cache across sweep points.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs,
@@ -139,34 +139,13 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   // wave engine's record/replay fold makes the split invisible in every
   // output bit, so this only reshapes where the wall-clock goes.
   const int wave_threads = std::max(1, resolved / std::max(1, threads));
-  if (threads <= 1) {
-    // Legacy serial path (--threads=1): build, replay, and fold one run at
-    // a time; aborts on the first scenario failure.
-    std::vector<SimulationResult> results(factories.size());
-    for (int run = 0; run < runs; ++run) {
-      Status status = ExecuteRun(config, factories, run, &results,
-                                 buffer_for(run), cache, wave_threads);
-      if (!status.ok()) return status;
-      prof::ScopedTimer timer("experiment/fold");
-      // Serial path: this thread is the only one running, so the fold-phase
-      // claim holds trivially.
-      ScopedSerialPhase fold_phase(FoldPhase());
-      for (size_t i = 0; i < factories.size(); ++i) {
-        FoldRun(results[i], &aggregates[i]);
-      }
-      if (sink != nullptr) sink->Fold(buffers[static_cast<size_t>(run)]);
-    }
-    return aggregates;
-  }
-
-  // Parallel path: independent runs fan out over the deterministic pool
-  // (each run re-derives its seeds from (config.seed, run), so no state is
-  // shared between tasks — the cached artifacts they alias are sealed and
-  // const); results land in index-addressed slots and are folded on this
-  // thread in run order — the same floating-point Add sequence as the
-  // serial path, hence bit-identical aggregates for any thread count. On
-  // failure ParallelFor reports the smallest failing run index, matching
-  // the serial path's first-failure Status.
+  // Independent runs fan out over the deterministic pool (each run
+  // re-derives its seeds from (config.seed, run), so no state is shared
+  // between tasks — the cached artifacts they alias are sealed and const);
+  // results land in index-addressed slots and are folded on this thread in
+  // run order, hence bit-identical aggregates for any thread count. A
+  // size-1 pool runs the tasks inline in index order. On failure
+  // ParallelFor reports the smallest failing run index.
   std::vector<std::vector<SimulationResult>> results(
       static_cast<size_t>(runs),
       std::vector<SimulationResult>(factories.size()));
@@ -192,8 +171,8 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
 
 /// Serial, deterministic cache pre-population (run-index order); after this
 /// the cache is sealed and every lookup is read-only. A Prepare failure is
-/// exactly the Status the uncached serial path would report for its first
-/// failing run, so failure semantics are cache-invariant.
+/// exactly the Status the storeless BuildScenario(config, run) reports for
+/// the first failing run.
 Status PrepareCache(ScenarioCache* cache, const SimulationConfig& config,
                     int runs) {
   prof::ScopedTimer timer("experiment/prepare_cache");
@@ -205,9 +184,6 @@ Status PrepareCache(ScenarioCache* cache, const SimulationConfig& config,
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs) {
-  if (!ScenarioCache::Enabled()) {
-    return RunExperimentImpl(config, factories, runs, nullptr);
-  }
   ScenarioCache cache;
   Status status = PrepareCache(&cache, config, runs);
   if (!status.ok()) return status;
@@ -217,22 +193,14 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
 StatusOr<std::vector<SweepPointResult>> RunSweep(
     const std::vector<SweepPoint>& points,
     const std::vector<ProtocolFactory>& factories, int runs) {
-  const bool cache_enabled = ScenarioCache::Enabled();
   ScenarioCache cache;  // one cache spanning every sweep point
   std::vector<SweepPointResult> results;
   results.reserve(points.size());
   for (const SweepPoint& point : points) {
+    Status status = PrepareCache(&cache, point.config, runs);
     StatusOr<std::vector<AlgorithmAggregate>> aggregates =
-        Status::InvalidArgument("unreachable");
-    if (cache_enabled) {
-      Status status = PrepareCache(&cache, point.config, runs);
-      aggregates = status.ok() ? RunExperimentImpl(point.config, factories,
-                                                   runs, &cache)
-                               : StatusOr<std::vector<AlgorithmAggregate>>(
-                                     status);
-    } else {
-      aggregates = RunExperimentImpl(point.config, factories, runs, nullptr);
-    }
+        status.ok() ? RunExperimentImpl(point.config, factories, runs, &cache)
+                    : StatusOr<std::vector<AlgorithmAggregate>>(status);
     if (!aggregates.ok()) {
       return Status(aggregates.status().code(),
                     "sweep point x=" + point.x_value + ": " +
@@ -259,21 +227,11 @@ int ResolveThreads(int requested) {
   return requested > 0 ? requested : ThreadPool::DefaultThreadCount();
 }
 
-namespace {
-
-int IntFromEnv(const char* name, int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  const int parsed = std::atoi(raw);
-  return parsed > 0 ? parsed : fallback;
+int RunsFromEnv(int fallback) {
+  return PositiveIntFromEnv("WSNQ_RUNS", fallback);
 }
-
-}  // namespace
-
-int RunsFromEnv(int fallback) { return IntFromEnv("WSNQ_RUNS", fallback); }
 int RoundsFromEnv(int fallback) {
-  return IntFromEnv("WSNQ_ROUNDS", fallback);
+  return PositiveIntFromEnv("WSNQ_ROUNDS", fallback);
 }
 
 }  // namespace wsnq

@@ -61,10 +61,10 @@ ProtocolFactory DefaultFactory(AlgorithmKind kind);
 /// to the serial path for every thread count (tests/
 /// parallel_determinism_test.cc holds this to exact equality).
 ///
-/// Unless WSNQ_SCENARIO_CACHE=0, the immutable scenario artifacts (radio
-/// graphs, value sources, tree templates) are built once by a serial
-/// ScenarioCache pre-population pass and shared read-only across runs
-/// (core/scenario_cache.h); results are bit-identical either way.
+/// The immutable scenario artifacts (radio graphs, value sources, tree
+/// templates) are built once by a serial ScenarioCache pre-population pass
+/// and shared read-only across runs (core/scenario_cache.h); results are
+/// bit-identical to building each run's scenario from scratch.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs);
@@ -104,7 +104,8 @@ StatusOr<std::vector<SweepPointResult>> RunSweep(
 /// override or hardware_concurrency.
 int ResolveThreads(int requested);
 
-/// Environment override helpers for benches: WSNQ_RUNS / WSNQ_ROUNDS.
+/// Environment override helpers for benches: WSNQ_RUNS / WSNQ_ROUNDS
+/// (util/env.h).
 int RunsFromEnv(int fallback);
 int RoundsFromEnv(int fallback);
 

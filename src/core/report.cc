@@ -47,19 +47,8 @@ void PrintMetricsCsvRows(std::FILE* out, const std::string& figure,
 }
 
 void PrintTimingFooter(const std::string& figure, int threads, int runs,
-                       double wall_seconds, double baseline_wall_seconds) {
-  if (baseline_wall_seconds > 0.0 && wall_seconds > 0.0) {
-    std::fprintf(stderr,
-                 "# timing figure=%s threads=%d runs=%d wall_s=%.3f "
-                 "baseline_wall_s=%.3f speedup=%.2fx\n",
-                 figure.c_str(), threads, runs, wall_seconds,
-                 baseline_wall_seconds, baseline_wall_seconds / wall_seconds);
-    return;
-  }
-  std::fprintf(stderr,
-               "# timing figure=%s threads=%d runs=%d wall_s=%.3f "
-               "(set WSNQ_BASELINE_WALL_S to a recorded --threads=1 wall "
-               "clock to print speedup)\n",
+                       double wall_seconds) {
+  std::fprintf(stderr, "# timing figure=%s threads=%d runs=%d wall_s=%.3f\n",
                figure.c_str(), threads, runs, wall_seconds);
 }
 

@@ -39,12 +39,9 @@ void PrintMetricsCsvRows(std::FILE* out, const std::string& figure,
 
 /// Prints a wall-clock timing footer to stderr (stderr so that stdout
 /// stays byte-identical across thread counts — the aggregate rows are
-/// deterministic, the timing is not). When `baseline_wall_seconds` is
-/// positive (a recorded --threads=1 wall clock, see bench_common.h's
-/// WSNQ_BASELINE_WALL_S), also prints the measured speedup so
-/// EXPERIMENTS.md can record the parallel win.
+/// deterministic, the timing is not).
 void PrintTimingFooter(const std::string& figure, int threads, int runs,
-                       double wall_seconds, double baseline_wall_seconds);
+                       double wall_seconds);
 
 }  // namespace wsnq
 

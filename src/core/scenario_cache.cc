@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "util/check.h"
@@ -92,19 +91,12 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 
 }  // namespace internal
 
-bool ScenarioCache::Enabled() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* raw = std::getenv("WSNQ_SCENARIO_CACHE");
-  return raw == nullptr || raw[0] == '\0' ||
-         !(raw[0] == '0' && raw[1] == '\0');
-}
-
 Status ScenarioCache::Prepare(const SimulationConfig& config, int runs) {
   sealed_ = false;
   for (int run = 0; run < runs; ++run) {
     // Build (and discard) the full scenario: every shareable artifact the
-    // run needs lands in the map as a side effect, in the exact order the
-    // serial uncached path would build it.
+    // run needs lands in the map as a side effect, in the order the
+    // storeless BuildScenario(config, run) would build it.
     StatusOr<Scenario> scenario = BuildScenario(config, run, this);
     if (!scenario.ok()) {
       sealed_ = true;

@@ -33,8 +33,7 @@
 // Determinism: BuildScenario runs the identical construction code with and
 // without a store (core/scenario.h, ArtifactStore), so cached and uncached
 // scenarios — and therefore aggregates, traces, and goldens — are
-// bit-identical (tests/scenario_cache_test.cc, golden tests with
-// WSNQ_SCENARIO_CACHE={0,1}).
+// bit-identical (tests/scenario_cache_test.cc).
 
 #ifndef WSNQ_CORE_SCENARIO_CACHE_H_
 #define WSNQ_CORE_SCENARIO_CACHE_H_
@@ -108,14 +107,10 @@ class ScenarioCache final : public internal::ArtifactStore {
   ScenarioCache(const ScenarioCache&) = delete;
   ScenarioCache& operator=(const ScenarioCache&) = delete;
 
-  /// False when the WSNQ_SCENARIO_CACHE environment variable is "0";
-  /// true otherwise (the cache defaults to on).
-  static bool Enabled();
-
   /// Builds every shareable artifact of runs [0, runs) in run-index order
   /// on the calling thread, then seals the cache. Returns the first
-  /// failing run's Status — the same Status the serial uncached path
-  /// reports, since both walk runs in ascending order.
+  /// failing run's Status — the same Status the storeless
+  /// BuildScenario(config, run) reports for that run.
   Status Prepare(const SimulationConfig& config, int runs);
 
   /// BuildScenario(config, run, this): assembles run `run`'s scenario from

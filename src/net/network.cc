@@ -7,20 +7,6 @@
 #include "util/trace.h"
 
 namespace wsnq {
-namespace {
-
-/// Whether per-send trace events would actually be emitted right now; the
-/// flood fast path below must fall back to the classic loop in that case so
-/// the per-broadcast event stream stays byte-identical.
-inline bool TraceEventsActive() {
-#if defined(WSNQ_TRACING) && WSNQ_TRACING
-  return trace::Current() != nullptr;
-#else
-  return false;
-#endif
-}
-
-}  // namespace
 
 Network::Network(RadioGraph graph, SpanningTree tree, EnergyModel energy,
                  Packetizer packetizer)
@@ -154,16 +140,19 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   return o.delivered;
 }
 
-void Network::BroadcastToChildren(int v, int64_t payload_bits) {
+// Defined inline ahead of its two callers so FloodFromRoot's per-vertex
+// loop compiles without a call per vertex.
+inline void Network::Broadcast(int v, int64_t payload_bits,
+                               const PacketizedMessage& msg,
+                               double send_cost, double recv_cost) {
   const auto& kids = tree_.children[static_cast<size_t>(v)];
   if (kids.empty()) return;
   if (policy_ != nullptr && policy_->IsDown(v)) return;
-  const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
-  Debit(v, energy_.SendCost(msg.total_bits, graph_->rho()));
+  Debit(v, send_cost);
   for (int child : kids) {
     // Crashed children don't hear (or pay for) the beacon.
     if (policy_ != nullptr && policy_->IsDown(child)) continue;
-    Debit(child, energy_.RecvCost(msg.total_bits));
+    Debit(child, recv_cost);
   }
   round_packets_ += msg.packets;
   total_packets_ += msg.packets;
@@ -181,29 +170,25 @@ void Network::BroadcastToChildren(int v, int64_t payload_bits) {
   }
 }
 
+void Network::BroadcastToChildren(int v, int64_t payload_bits) {
+  const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
+  Broadcast(v, payload_bits, msg,
+            energy_.SendCost(msg.total_bits, graph_->rho()),
+            energy_.RecvCost(msg.total_bits));
+}
+
 void Network::FloodFromRoot(int64_t payload_bits) {
   ++round_floods_;
   ++total_floods_;
   WSNQ_TRACE_SCOPE("net", "flood", -1, {"bits", payload_bits});
-  if (policy_ == nullptr && observer_ == nullptr && !TraceEventsActive()) {
-    // Every broadcast of a flood carries the same payload, so the
-    // packetize + energy math is loop-invariant: hoist it. Same Debit
-    // amounts in the same vertex order as the classic loop below, hence
-    // bit-identical energy and packet accounting.
-    const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
-    const double send_cost = energy_.SendCost(msg.total_bits, graph_->rho());
-    const double recv_cost = energy_.RecvCost(msg.total_bits);
-    for (int v : tree_.pre_order) {
-      const auto& kids = tree_.children[static_cast<size_t>(v)];
-      if (kids.empty()) continue;
-      Debit(v, send_cost);
-      for (int child : kids) Debit(child, recv_cost);
-      round_packets_ += msg.packets;
-      total_packets_ += msg.packets;
-    }
-    return;
+  // Every broadcast of a flood carries the same payload, so the packetize
+  // and energy math is computed once for the whole flood.
+  const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
+  const double send_cost = energy_.SendCost(msg.total_bits, graph_->rho());
+  const double recv_cost = energy_.RecvCost(msg.total_bits);
+  for (int v : tree_.pre_order) {
+    Broadcast(v, payload_bits, msg, send_cost, recv_cost);
   }
-  for (int v : tree_.pre_order) BroadcastToChildren(v, payload_bits);
 }
 
 void Network::ResetAccounting() {

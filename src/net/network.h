@@ -247,6 +247,11 @@ class Network {
     total_energy_[static_cast<size_t>(v)] += mj;
   }
 
+  /// The body of one BroadcastToChildren, with the frame and its radio
+  /// costs computed by the caller (once per flood in FloodFromRoot).
+  void Broadcast(int v, int64_t payload_bits, const PacketizedMessage& msg,
+                 double send_cost, double recv_cost);
+
   void ClearRoundCounters();
 
   /// Immutable; possibly aliased by other Networks (never null).

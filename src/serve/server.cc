@@ -41,7 +41,14 @@ Status Server::OnUnsubscribe(int64_t session_id, uint64_t sub_id) {
 void Server::AcceptPending() {
   for (;;) {
     StatusOr<int> fd = AcceptConnection(listener_.get());
-    if (!fd.ok()) return;  // NotFound: accept queue drained
+    if (!fd.ok()) {
+      if (fd.status().code() == StatusCode::kNotFound) return;  // drained
+      // The pending connection stays queued and the listener stays
+      // readable, so retrying right away would spin: back off instead.
+      ++stats_.accept_errors;
+      accept_paused_ = true;
+      return;
+    }
     const int64_t session_id = next_session_id_++;
     Conn conn;
     conn.fd = UniqueFd(fd.value());
@@ -69,8 +76,8 @@ bool Server::WriteConn(Conn* conn) {
   Session* session = conn->session.get();
   while (session->has_output()) {
     StatusOr<int64_t> n =
-        WriteFd(conn->fd.get(), session->outbox().data(),
-                static_cast<int64_t>(session->outbox().size()));
+        WriteFd(conn->fd.get(), session->output_data(),
+                static_cast<int64_t>(session->output_size()));
     if (!n.ok()) return false;
     if (n.value() < 0) return true;  // kernel buffer full; wait for POLLOUT
     stats_.bytes_out += n.value();
@@ -83,6 +90,7 @@ bool Server::WriteConn(Conn* conn) {
 void Server::CloseConn(int64_t session_id, bool protocol_error) {
   broker_.DropSession(session_id);
   conns_.erase(session_id);
+  accept_paused_ = false;  // a descriptor was freed: accepting may succeed
   ++stats_.sessions_closed;
   if (protocol_error) ++stats_.protocol_closes;
 }
@@ -92,7 +100,8 @@ Status Server::PollOnce(int timeout_ms) {
   std::vector<int64_t> ids;  // ids[i] maps fds[i+1] back to its session
   fds.reserve(conns_.size() + 1);
   ids.reserve(conns_.size());
-  fds.push_back(pollfd{listener_.get(), POLLIN, 0});
+  // poll ignores negative descriptors: a paused listener is not watched.
+  fds.push_back(pollfd{accept_paused_ ? -1 : listener_.get(), POLLIN, 0});
   for (const auto& [session_id, conn] : conns_) {
     short events = POLLIN;
     if (conn.session->has_output()) events |= POLLOUT;
@@ -137,6 +146,7 @@ Status Server::PollOnce(int timeout_ms) {
 }
 
 Status Server::TickRound() {
+  accept_paused_ = false;  // retry a failed accept once per round
   std::vector<AnswerEvent> events;
   const Status status = broker_.AdvanceRound(&events);
   if (!status.ok()) return status;

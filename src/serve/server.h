@@ -47,6 +47,10 @@ struct ServerStats {
   int64_t sessions_opened = 0;
   int64_t sessions_closed = 0;
   int64_t protocol_closes = 0;  ///< closes forced by protocol errors
+  /// accept() failures other than an empty queue (e.g. EMFILE); each one
+  /// takes the listener out of the poll set until a session closes or the
+  /// next round tick, so a persistently failing accept cannot spin poll.
+  int64_t accept_errors = 0;
   int64_t bytes_in = 0;
   int64_t bytes_out = 0;
 };
@@ -102,6 +106,8 @@ class Server : public RequestSink {
   /// Connections keyed by session id (== broker session id).
   std::map<int64_t, Conn> conns_;
   int64_t next_session_id_ = 1;
+  /// Set by an accept error; the listener sits out of poll until cleared.
+  bool accept_paused_ = false;
   ServerStats stats_;
 };
 

@@ -1,5 +1,7 @@
 #include "serve/session.h"
 
+#include "util/check.h"
+
 namespace wsnq {
 namespace serve {
 
@@ -117,7 +119,18 @@ void Session::SendError(uint64_t request_id, const std::string& message,
 }
 
 void Session::ConsumeOutput(size_t n) {
-  outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<ptrdiff_t>(n));
+  WSNQ_CHECK_LE(n, output_size());
+  consumed_ += n;
+  if (consumed_ == outbox_.size()) {
+    outbox_.clear();  // drained: keep the capacity, restart at offset 0
+    consumed_ = 0;
+  } else if (consumed_ > outbox_.size() / 2) {
+    // Compact once the written prefix dominates: the move copies fewer
+    // bytes than were consumed since the last compaction.
+    outbox_.erase(outbox_.begin(),
+                  outbox_.begin() + static_cast<ptrdiff_t>(consumed_));
+    consumed_ = 0;
+  }
 }
 
 }  // namespace serve

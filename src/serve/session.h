@@ -57,11 +57,13 @@ class Session {
   /// Queues one server-initiated answer push (request id 0).
   void PushAnswer(const AnswerPush& answer);
 
-  /// Pending outbound bytes; the owner writes a prefix and calls
-  /// ConsumeOutput with the number actually written.
-  const std::vector<uint8_t>& outbox() const { return outbox_; }
+  /// Pending outbound bytes (`output_size()` of them at `output_data()`);
+  /// the owner writes a prefix and calls ConsumeOutput with the number
+  /// actually written. Amortized O(1) per byte under partial writes.
+  const uint8_t* output_data() const { return outbox_.data() + consumed_; }
+  size_t output_size() const { return outbox_.size() - consumed_; }
   void ConsumeOutput(size_t n);
-  bool has_output() const { return !outbox_.empty(); }
+  bool has_output() const { return output_size() > 0; }
 
   /// Connection was condemned by malformed framing: drop it now, write
   /// nothing further.
@@ -81,7 +83,9 @@ class Session {
   const int64_t id_;
   RequestSink* const sink_;
   FrameReader reader_;
+  /// Queued frames; the first `consumed_` bytes are already written.
   std::vector<uint8_t> outbox_;
+  size_t consumed_ = 0;
   /// Highest request id seen; ids must be non-zero, strictly increasing.
   uint64_t last_request_id_ = 0;
   bool dead_ = false;

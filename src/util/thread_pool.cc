@@ -1,9 +1,9 @@
 #include "util/thread_pool.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "util/check.h"
+#include "util/env.h"
 #include "util/trace.h"
 
 namespace wsnq {
@@ -115,14 +115,9 @@ void ThreadPool::RunChunk(const char* label) {
 }
 
 int ThreadPool::DefaultThreadCount() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* raw = std::getenv("WSNQ_THREADS");
-  if (raw != nullptr && raw[0] != '\0') {
-    const int parsed = std::atoi(raw);
-    if (parsed > 0) return parsed;
-  }
   const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? static_cast<int>(hardware) : 1;
+  return PositiveIntFromEnv("WSNQ_THREADS",
+                            hardware > 0 ? static_cast<int>(hardware) : 1);
 }
 
 }  // namespace wsnq

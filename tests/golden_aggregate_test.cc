@@ -21,7 +21,6 @@
 // skipped in that mode so regeneration never masquerades as a pass).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,7 @@
 #include "algo/registry.h"
 #include "core/config.h"
 #include "core/experiment.h"
-#include "tests/test_scenario.h"
+#include "util/env.h"
 
 namespace wsnq {
 namespace {
@@ -120,13 +119,12 @@ void PrintReplacementTable(const std::vector<AlgorithmAggregate>& aggs) {
   std::printf("};\n");
 }
 
-void CheckAgainstGoldenTable() {
+TEST(GoldenAggregate, DefaultConfigMatchesFrozenValues) {
   auto aggregates =
       RunExperiment(GoldenConfig(), PaperAlgorithms(), kGoldenRuns);
   ASSERT_TRUE(aggregates.ok()) << aggregates.status().ToString();
 
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  if (std::getenv("WSNQ_UPDATE_GOLDEN") != nullptr) {
+  if (GetEnv("WSNQ_UPDATE_GOLDEN").has_value()) {
     PrintReplacementTable(aggregates.value());
     GTEST_SKIP() << "WSNQ_UPDATE_GOLDEN set: printed replacement table, "
                     "assertions skipped";
@@ -152,19 +150,6 @@ void CheckAgainstGoldenTable() {
     EXPECT_EQ(agg.max_rank_error, want.max_rank_error);
     EXPECT_EQ(agg.errors, want.errors);
   }
-}
-
-TEST(GoldenAggregate, DefaultConfigMatchesFrozenValues) {
-  // Default environment: the scenario cache is on unless disabled, so this
-  // leg pins the cached construction path against the frozen table.
-  CheckAgainstGoldenTable();
-}
-
-TEST(GoldenAggregate, FrozenValuesHoldWithScenarioCacheDisabled) {
-  // And the uncached path must land on the identical bits — the golden
-  // table does not know (or care) whether artifacts were shared.
-  testing_support::ScopedEnv env("WSNQ_SCENARIO_CACHE", "0");
-  CheckAgainstGoldenTable();
 }
 
 // The exactness headline of the paper on the frozen configuration, kept

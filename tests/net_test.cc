@@ -1,15 +1,18 @@
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "net/energy_model.h"
 #include "net/network.h"
 #include "net/packetizer.h"
 #include "net/placement.h"
 #include "net/radio_graph.h"
 #include "net/spanning_tree.h"
+#include "tests/test_scenario.h"
 #include "util/rng.h"
 
 namespace wsnq {
@@ -335,6 +338,93 @@ TEST(NetworkTest, MaxRoundEnergyExcludesRoot) {
   net.BroadcastToChildren(1, 5000);  // root 1 transmits a lot
   const double max_sensor = net.MaxRoundEnergyOverSensors();
   EXPECT_LT(max_sensor, net.round_energy(1));
+}
+
+// FloodFromRoot must account exactly like one BroadcastToChildren per
+// vertex in pre order: same per-vertex energy bits, packet count, and
+// observer callbacks, whether or not a transport policy or a SendObserver
+// is installed.
+struct RecordingObserver : SendObserver {
+  std::vector<SendInfo> sends;
+  void OnSend(const SendInfo& info) override { sends.push_back(info); }
+};
+
+enum class FloodSetup { kReliable, kCrashedInterior, kObserver };
+
+struct FloodRig {
+  Network net;
+  RecordingObserver observer;
+};
+
+std::unique_ptr<FloodRig> MakeFloodRig(FloodSetup setup) {
+  auto rig = std::make_unique<FloodRig>(
+      FloodRig{testing_support::MakeRandomNetwork(40, /*seed=*/7), {}});
+  if (setup == FloodSetup::kCrashedInterior) {
+    FaultConfig config;
+    config.crash_nodes = 8;
+    config.crash_round = 0;
+    config.crash_len = 1;
+    config.repair = false;  // keep the crashed vertices in the tree
+    rig->net.set_transport_policy(std::make_unique<FaultPlan>(
+        config, /*seed=*/3, /*run=*/0, rig->net.num_vertices(),
+        rig->net.root()));
+  }
+  if (setup == FloodSetup::kObserver) {
+    rig->net.set_send_observer(&rig->observer);
+  }
+  rig->net.BeginRound();
+  return rig;
+}
+
+void ExpectFloodMatchesBroadcasts(FloodSetup setup) {
+  constexpr int64_t kBits = 300;  // more than one packet
+  std::unique_ptr<FloodRig> flood = MakeFloodRig(setup);
+  std::unique_ptr<FloodRig> broadcasts = MakeFloodRig(setup);
+  flood->net.FloodFromRoot(kBits);
+  for (int v : broadcasts->net.tree().pre_order) {
+    broadcasts->net.BroadcastToChildren(v, kBits);
+  }
+  EXPECT_EQ(flood->net.round_packets(), broadcasts->net.round_packets());
+  EXPECT_GT(flood->net.round_packets(), 0);
+  for (int v = 0; v < flood->net.num_vertices(); ++v) {
+    EXPECT_EQ(flood->net.total_energy(v), broadcasts->net.total_energy(v))
+        << "vertex " << v;
+  }
+  const auto& got = flood->observer.sends;
+  const auto& want = broadcasts->observer.sends;
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, SendObserver::SendKind::kBroadcast);
+    EXPECT_EQ(got[i].sender, want[i].sender) << "send " << i;
+    EXPECT_EQ(got[i].payload_bits, want[i].payload_bits) << "send " << i;
+    EXPECT_EQ(got[i].wire_bits, want[i].wire_bits) << "send " << i;
+    EXPECT_EQ(got[i].packets, want[i].packets) << "send " << i;
+  }
+  if (setup == FloodSetup::kObserver) {
+    EXPECT_FALSE(got.empty());
+  }
+}
+
+TEST(NetworkTest, FloodMatchesPreOrderBroadcastsOnReliableMedium) {
+  ExpectFloodMatchesBroadcasts(FloodSetup::kReliable);
+}
+
+TEST(NetworkTest, FloodMatchesPreOrderBroadcastsWithCrashedInteriorNode) {
+  // The setup must really crash a vertex that relays the flood.
+  std::unique_ptr<FloodRig> rig = MakeFloodRig(FloodSetup::kCrashedInterior);
+  const Network& net = rig->net;
+  TransportPolicy* policy = rig->net.transport_policy();
+  bool crashed_interior = false;
+  for (int v = 0; v < net.num_vertices(); ++v) {
+    crashed_interior |= policy->IsDown(v) && !net.is_root(v) &&
+                        !net.tree().children[static_cast<size_t>(v)].empty();
+  }
+  ASSERT_TRUE(crashed_interior);
+  ExpectFloodMatchesBroadcasts(FloodSetup::kCrashedInterior);
+}
+
+TEST(NetworkTest, FloodMatchesPreOrderBroadcastsWithObserver) {
+  ExpectFloodMatchesBroadcasts(FloodSetup::kObserver);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 // validation, and an in-process loopback socket round trip through
 // Server + Client.
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -20,7 +23,10 @@
 #include "serve/serve_cli.h"
 #include "serve/server.h"
 #include "serve/sockets.h"
+#include "serve/session.h"
 #include "serve/wire.h"
+#include "util/rng.h"
+#include "util/trace.h"
 
 namespace wsnq {
 namespace serve {
@@ -366,6 +372,42 @@ TEST(ServeCliTest, LoadgenFlagValidation) {
   EXPECT_FALSE(ValidateLoadgenFlags(bad, present).ok());
 }
 
+// --- Session outbox -------------------------------------------------------
+
+TEST(SessionOutboxTest, PartialConsumesReadBackTheConcatenatedFrames) {
+  // A slow socket takes arbitrary prefixes of the outbox while pushes keep
+  // arriving; the bytes written must be exactly the queued frames in order.
+  Session session(/*id=*/1, /*sink=*/nullptr);
+  Rng rng(17);
+  std::vector<uint8_t> expected;
+  std::vector<uint8_t> written;
+  const auto write_prefix = [&](size_t n) {
+    written.insert(written.end(), session.output_data(),
+                   session.output_data() + n);
+    session.ConsumeOutput(n);
+  };
+  for (int step = 0; step < 500; ++step) {
+    const int64_t pushes = rng.UniformInt(0, 3);
+    for (int64_t i = 0; i < pushes; ++i) {
+      AnswerPush answer;
+      answer.sub_id = static_cast<uint64_t>(step + 1);
+      answer.round = step;
+      answer.value = step * 7 - static_cast<int64_t>(i);
+      session.PushAnswer(answer);
+      Frame frame;
+      frame.request_id = 0;
+      frame.opcode = static_cast<uint8_t>(Opcode::kAnswer);
+      frame.payload = EncodeAnswerPayload(answer);
+      AppendFrame(frame, &expected);
+    }
+    write_prefix(static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(session.output_size()))));
+  }
+  write_prefix(session.output_size());
+  EXPECT_FALSE(session.has_output());
+  EXPECT_EQ(written, expected);
+}
+
 // --- In-process loopback round trip ---------------------------------------
 
 /// Interleaves the server loop and client pumps until `done` or timeout.
@@ -464,6 +506,54 @@ TEST(ServerSocketTest, MalformedClientIsDroppedWithoutBackendEffect) {
   EXPECT_EQ(server.broker_stats().subscribes, 0);
   EXPECT_EQ(server.stats().sessions_closed, 1);
   EXPECT_EQ(server.stats().protocol_closes, 1);
+}
+
+TEST(ServerSocketTest, AcceptErrorPausesTheListenerInsteadOfSpinning) {
+  ServerOptions options;
+  options.port = 0;
+  options.broker = SmallBroker();
+  Server server(options);
+  ASSERT_TRUE(server.Listen().ok());
+  StatusOr<int> raw = ConnectLoopback(server.port());
+  ASSERT_TRUE(raw.ok());
+  UniqueFd client_fd(raw.value());
+
+  // dup returns the lowest free descriptor, so with the soft limit set to
+  // it every descriptor below is taken and accept fails with EMFILE.
+  rlimit saved;
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = dup(client_fd.get());
+  ASSERT_GE(lowest_free, 0);
+  close(lowest_free);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // The loopback connect completes quickly; poll until accept has failed,
+  // then keep polling. A listener left in the poll set would stay readable
+  // and return at once, failing accept on every call.
+  for (int i = 0; i < 400 && server.stats().accept_errors == 0; ++i) {
+    if (!server.PollOnce(5).ok()) break;
+  }
+  const int64_t first_errors = server.stats().accept_errors;
+  const double start = prof::WallSeconds();
+  bool polls_ok = true;
+  for (int i = 0; i < 5; ++i) polls_ok = polls_ok && server.PollOnce(20).ok();
+  const double waited = prof::WallSeconds() - start;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_TRUE(polls_ok);
+  EXPECT_EQ(first_errors, 1);
+  EXPECT_EQ(server.stats().accept_errors, 1);
+  EXPECT_GE(waited, 0.09);  // every PollOnce waited out its timeout
+  EXPECT_EQ(server.sessions(), 0);
+
+  // The next round tick re-arms the listener, and with the limit restored
+  // the queued connection is accepted.
+  ASSERT_TRUE(server.TickRound().ok());
+  std::vector<Client*> none;
+  DriveUntil(&server, none, [&] { return server.sessions() == 1; });
+  EXPECT_EQ(server.stats().accept_errors, 1);
 }
 
 TEST(ServerSocketTest, RunHonorsMaxRounds) {

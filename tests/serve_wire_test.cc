@@ -165,8 +165,8 @@ std::vector<uint8_t> SubscribeFrame(uint64_t request_id,
 /// Parses every frame the session queued in its outbox.
 std::vector<Frame> DrainOutbox(Session* session) {
   FrameReader reader;
-  reader.Feed(session->outbox().data(), session->outbox().size());
-  session->ConsumeOutput(session->outbox().size());
+  reader.Feed(session->output_data(), session->output_size());
+  session->ConsumeOutput(session->output_size());
   std::vector<Frame> frames;
   Frame frame;
   while (reader.Next(&frame, nullptr) == ReadResult::kFrame) {

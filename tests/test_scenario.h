@@ -5,8 +5,6 @@
 #define WSNQ_TESTS_TEST_SCENARIO_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,36 +15,6 @@
 
 namespace wsnq {
 namespace testing_support {
-
-/// Sets an environment variable for the enclosing scope and restores the
-/// previous state on destruction. Tests use it to toggle knobs like
-/// WSNQ_SCENARIO_CACHE without leaking into later tests; set/read it only
-/// from the main test thread (getenv/setenv are not thread-safe against
-/// each other).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 /// A line network 0 - 1 - ... - (n-1) rooted at `root`.
 inline Network MakeLineNetwork(int n, int root = 0) {

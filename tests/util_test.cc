@@ -1,9 +1,13 @@
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/env.h"
 #include "util/lambert_w.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -174,6 +178,24 @@ TEST(StatusOrTest, ValueAndStatus) {
   StatusOr<int> bad(Status::NotFound("x"));
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+}
+
+TEST(EnvTest, PositiveIntFromEnvParsesOrFallsBack) {
+  constexpr const char* kName = "WSNQ_ENV_TEST_VALUE";
+  ::unsetenv(kName);
+  EXPECT_FALSE(GetEnv(kName).has_value());
+  EXPECT_EQ(PositiveIntFromEnv(kName, 3), 3);
+  ::setenv(kName, "", /*overwrite=*/1);
+  EXPECT_EQ(GetEnv(kName), std::optional<std::string>(""));
+  EXPECT_EQ(PositiveIntFromEnv(kName, 3), 3);
+  ::setenv(kName, "7", /*overwrite=*/1);
+  EXPECT_EQ(GetEnv(kName), std::optional<std::string>("7"));
+  EXPECT_EQ(PositiveIntFromEnv(kName, 3), 7);
+  for (const char* rejected : {"0", "-2", "abc"}) {
+    ::setenv(kName, rejected, /*overwrite=*/1);
+    EXPECT_EQ(PositiveIntFromEnv(kName, 3), 3) << rejected;
+  }
+  ::unsetenv(kName);
 }
 
 }  // namespace

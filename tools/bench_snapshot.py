@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Records a performance snapshot of the tree as BENCH_<date>.json (schema 2).
 
-Five measurements, deliberately cheap enough to run on every perf-relevant
+Four measurements, deliberately cheap enough to run on every perf-relevant
 PR (a couple of minutes on one core):
 
   * the micro primitive benchmarks (build/bench/micro_primitives,
@@ -13,21 +13,14 @@ PR (a couple of minutes on one core):
   * one end-to-end figure sweep (build/bench/fig6_vary_n) at reduced
     WSNQ_RUNS/WSNQ_ROUNDS — the wall clock of the whole simulator stack,
     measured over --reps repetitions (perf/bench_harness.h) so the
-    snapshot records robust statistics (median, MAD, CV), not one sample;
+    snapshot records robust statistics (median, MAD, CV), not one sample.
+    Stage names follow core/experiment.cc: the run-order fold reports as
+    "experiment/sweep_fold" (older snapshots also carry "experiment/fold",
+    the per-run fold of the former threads=1 loop);
   * one lossy sweep (build/bench/fig_loss_sweep) at the same reduced
     scale — the same stack with the fault subsystem hot (Gilbert/iid link
     chains, ARQ retransmission loops), so reliability-path regressions
     are visible separately from the lossless baseline;
-  * the fig10 pressure sweep (build/bench/fig10_pressure) run twice, with
-    WSNQ_SCENARIO_CACHE=0 and =1, parsing the --profile stage report —
-    scenario-construction seconds (experiment/build_scenario plus, cached,
-    experiment/prepare_cache) and total wall clock for both, with the
-    cache-off/cache-on construction ratio recorded as the speedup the
-    scenario cache (core/scenario_cache.h) is buying. Stage names follow
-    core/experiment.cc: the per-run serial fold reports as
-    "experiment/fold" and the cross-run parallel fold as
-    "experiment/sweep_fold" (historical snapshots before the split merged
-    both under "experiment/fold");
   * one serving-latency run (build/tools/wsnq_served + wsnq_loadgen over
     loopback at --serve-subs concurrent subscriptions, default 100k) —
     subscribe-ack and round-push p50/p99 plus push throughput for the
@@ -237,43 +230,6 @@ def run_sweep(build_dir, bench_name, runs, rounds, reps, warmup):
     }
 
 
-def run_fig10_cache_leg(build_dir, runs, rounds, cache):
-    """Runs fig10_pressure once with the scenario cache on or off.
-
-    Returns total wall clock (summed over the bench's per-sweep timing
-    footers) and the scenario-construction seconds from the cumulative
-    --profile stage report (the last report per stage is the process
-    total; prepare_cache only exists on the cached path)."""
-    binary = os.path.join(build_dir, "bench", "fig10_pressure")
-    env = dict(os.environ, WSNQ_RUNS=str(runs), WSNQ_ROUNDS=str(rounds),
-               WSNQ_SCENARIO_CACHE=cache)
-    out = subprocess.run([binary, "--threads=1", "--profile"], check=True,
-                         capture_output=True, text=True, env=env)
-    footers = list(TIMING_RE.finditer(out.stderr))
-    if not footers:
-        raise RuntimeError(
-            f"no '# timing' footer in {binary} stderr:\n{out.stderr}")
-    stages = parse_profile_stages(out.stderr)
-    build_s = stages.get("experiment/build_scenario", {}).get("total_s", 0.0)
-    build_s += stages.get("experiment/prepare_cache", {}).get("total_s", 0.0)
-    return {
-        "runs": runs,
-        "rounds": rounds,
-        "wall_s": round(sum(float(m.group("wall_s")) for m in footers), 3),
-        "scenario_build_s": build_s,
-        "stages": stages,
-    }
-
-
-def run_fig10_cache_compare(build_dir, runs, rounds):
-    off = run_fig10_cache_leg(build_dir, runs, rounds, "0")
-    on = run_fig10_cache_leg(build_dir, runs, rounds, "1")
-    speedup = (off["scenario_build_s"] / on["scenario_build_s"]
-               if on["scenario_build_s"] > 0 else None)
-    return {"cache_off": off, "cache_on": on,
-            "scenario_build_speedup": round(speedup, 2) if speedup else None}
-
-
 def parse_tagged_line(text, tag):
     """Returns the parsed fields of the last '# <tag> key=value ...' line."""
     fields = None
@@ -376,8 +332,6 @@ def main():
                                     args.runs, args.rounds, args.reps,
                                     args.warmup),
         }
-        fig10 = run_fig10_cache_compare(args.build_dir, args.runs,
-                                        args.rounds)
         serve = None
         if args.serve_subs > 0:
             serve = run_serve(args.build_dir, args.serve_subs,
@@ -391,8 +345,7 @@ def main():
         return 1
 
     snapshot = {"schema": SCHEMA_VERSION, "date": date, "metadata": metadata,
-                "micro": micro, "benches": benches,
-                "fig10_scenario_cache": fig10}
+                "micro": micro, "benches": benches}
     if serve is not None:
         snapshot["serve"] = serve
     with open(out_path, "w", encoding="utf-8") as f:
@@ -405,8 +358,6 @@ def main():
                       f"p99={serve['loadgen']['push_p99_ms']}ms")
     print(f"wrote {out_path} (fig6 median_s={benches['fig6']['median_s']}, "
           f"loss_sweep median_s={benches['loss_sweep']['median_s']}, "
-          f"fig10 scenario-build speedup="
-          f"{fig10['scenario_build_speedup']}x, "
           f"{len(micro['benchmarks'])} micro benchmarks{serve_note})")
     return 0
 

@@ -42,6 +42,10 @@ Rules
                     sequential stream — a stream's draw order would differ
                     across thread schedules and break the bit-identical
                     fault-injection contract.
+  raw-getenv        No getenv()/secure_getenv() outside src/util/env.cc;
+                    every environment read goes through util/env.h, whose
+                    header lists the variables wsnq reads, so a new knob
+                    cannot appear unlisted in some corner of the tree.
   test-coverage     Every .cc under src/ is referenced (via its header path,
                     e.g. "algo/hbc.h") by at least one test that is registered
                     with wsnq_test() in tests/CMakeLists.txt.
@@ -299,6 +303,25 @@ def check_serve_syscall(root: str) -> List[Finding]:
     return findings
 
 
+RAW_GETENV_RE = re.compile(r"(?<![A-Za-z0-9_])(secure_getenv|getenv)\s*\(")
+
+
+def check_raw_getenv(root: str) -> List[Finding]:
+    findings = []
+    allowed = os.path.join("src", "util", "env.cc")
+    for rel in cxx_files(root):
+        if rel == allowed:
+            continue
+        for i, raw in enumerate(read_lines(root, rel), start=1):
+            if RAW_GETENV_RE.search(strip_comments_and_strings(raw)):
+                findings.append(Finding(
+                    rel, i, "raw-getenv",
+                    "read the environment through util/env.h "
+                    "(GetEnv/PositiveIntFromEnv) and list the variable in "
+                    "its header; raw getenv() calls scatter knobs"))
+    return findings
+
+
 def check_test_coverage(root: str) -> List[Finding]:
     findings = []
     cmake_path = os.path.join(root, "tests", "CMakeLists.txt")
@@ -391,6 +414,7 @@ CHECKS = [
     check_fault_rng,
     check_perf_syscall,
     check_serve_syscall,
+    check_raw_getenv,
     check_test_coverage,
     check_include_guard,
     check_tracked_build,

@@ -123,8 +123,8 @@ int Main(int argc, char** argv) {
       "# served rounds=%lld subscribes=%lld unsubscribes=%lld pushes=%lld "
       "backend_rounds=%lld convergecasts=%lld rebuilds=%lld streams=%lld "
       "subs=%lld cache_hits=%lld cache_misses=%lld sessions_opened=%lld "
-      "sessions_closed=%lld protocol_closes=%lld bytes_in=%lld "
-      "bytes_out=%lld errors=0\n",
+      "sessions_closed=%lld protocol_closes=%lld accept_errors=%lld "
+      "bytes_in=%lld bytes_out=%lld errors=0\n",
       static_cast<long long>(broker.rounds),
       static_cast<long long>(broker.subscribes),
       static_cast<long long>(broker.unsubscribes),
@@ -139,6 +139,7 @@ int Main(int argc, char** argv) {
       static_cast<long long>(transport.sessions_opened),
       static_cast<long long>(transport.sessions_closed),
       static_cast<long long>(transport.protocol_closes),
+      static_cast<long long>(transport.accept_errors),
       static_cast<long long>(transport.bytes_in),
       static_cast<long long>(transport.bytes_out));
   return 0;
