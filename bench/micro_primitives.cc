@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the library's hot primitives:
 // topology construction, oracle selection, histogram aggregation, the
-// Lambert-W evaluator, value-noise sampling, and a full simulated protocol
-// round. These guard against performance regressions in the simulator
-// itself rather than reproducing any paper figure.
+// Lambert-W evaluator, value-noise sampling, a full simulated protocol
+// round, and one MultiIQ round. These guard against performance
+// regressions in the simulator itself rather than reproducing any paper
+// figure.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "algo/hist_codec.h"
+#include "algo/multi_quantile.h"
 #include "algo/oracle.h"
 #include "algo/registry.h"
 #include "core/config.h"
@@ -243,6 +245,43 @@ BENCHMARK(BM_RunProtocols)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+// One steady-state MultiIQ round (the serving backend's per-field step):
+// n = 128 synthetic sensors, m ranks spread evenly over 1..n, the value
+// rows cycling through a 64-round drift of the synthetic source.
+void BM_MultiIqRound(benchmark::State& state) {
+  SimulationConfig config;
+  config.num_sensors = 128;
+  config.check_oracle = false;
+  auto scenario = BuildScenario(config, 0);
+  if (!scenario.ok()) {
+    state.SkipWithError(scenario.status().ToString().c_str());
+    return;
+  }
+  constexpr int64_t kCycleRounds = 64;
+  scenario.value().MaterializeValues(kCycleRounds + 1);
+  const int64_t m = state.range(0);
+  std::vector<int64_t> ks;
+  for (int64_t i = 1; i <= m; ++i) {
+    ks.push_back(i * config.num_sensors / (m + 1));
+  }
+  MultiIqProtocol protocol(ks, scenario.value().source->range_min(),
+                           scenario.value().source->range_max(), config.wire,
+                           MultiIqProtocol::Options{});
+  Network* net = scenario.value().network.get();
+  net->BeginRound();
+  protocol.RunRound(net, scenario.value().ValuesView(0), 0);
+  int64_t round = 1;
+  for (auto _ : state) {
+    net->BeginRound();
+    protocol.RunRound(
+        net, scenario.value().ValuesView(1 + (round - 1) % kCycleRounds),
+        round);
+    benchmark::DoNotOptimize(protocol.quantile(0));
+    ++round;
+  }
+}
+BENCHMARK(BM_MultiIqRound)->Arg(3)->Arg(32)->Arg(127);
 
 }  // namespace
 }  // namespace wsnq

@@ -7,43 +7,16 @@
 
 namespace wsnq {
 
-void ValidationAgg::Merge(const ValidationAgg& other) {
-  into_lt += other.into_lt;
-  outof_lt += other.outof_lt;
-  into_gt += other.into_gt;
-  outof_gt += other.outof_gt;
-  if (other.has_hint) {
-    if (!has_hint) {
-      has_hint = true;
-      min_changed = other.min_changed;
-      max_changed = other.max_changed;
-    } else {
-      min_changed = std::min(min_changed, other.min_changed);
-      max_changed = std::max(max_changed, other.max_changed);
-    }
-  }
-}
-
-void ValidationAgg::AddTransition(Region from, Region to, int64_t value) {
-  if (from == to) return;
-  if (to == Region::kLt) ++into_lt;
-  if (from == Region::kLt) ++outof_lt;
-  if (to == Region::kGt) ++into_gt;
-  if (from == Region::kGt) ++outof_gt;
-  if (!has_hint) {
-    has_hint = true;
-    min_changed = value;
-    max_changed = value;
-  } else {
-    min_changed = std::min(min_changed, value);
-    max_changed = std::max(max_changed, value);
-  }
-}
-
-std::vector<ValidationAgg>& WaveWorkspace::PrepareAggRows(size_t n,
-                                                          size_t rows) {
-  agg_.assign(n * rows, ValidationAgg{});
+std::vector<ValidationAgg>& WaveWorkspace::PrepareAgg(size_t n) {
+  agg_.assign(n, ValidationAgg{});
   return agg_;
+}
+
+std::vector<std::vector<AggEntry>>& WaveWorkspace::PrepareAggEntries(
+    size_t n) {
+  if (agg_entries_.size() < n) agg_entries_.resize(n);
+  for (size_t i = 0; i < n; ++i) agg_entries_[i].clear();
+  return agg_entries_;
 }
 
 std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareSets(size_t n) {
@@ -59,10 +32,10 @@ std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareWindows(size_t n) {
 }
 
 std::vector<std::vector<std::pair<int, int64_t>>>&
-WaveWorkspace::PrepareDeltas(size_t n) {
-  if (deltas_.size() < n) deltas_.resize(n);
-  for (size_t i = 0; i < n; ++i) deltas_[i].clear();
-  return deltas_;
+WaveWorkspace::PreparePairs(size_t n) {
+  if (pairs_.size() < n) pairs_.resize(n);
+  for (size_t i = 0; i < n; ++i) pairs_[i].clear();
+  return pairs_;
 }
 
 void WaveWorkspace::PrepareHist(size_t n, size_t buckets) {

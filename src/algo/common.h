@@ -80,12 +80,41 @@ struct ValidationAgg {
   }
 
   /// Folds a child's aggregate into this one (TAG-style merge).
-  void Merge(const ValidationAgg& other);
+  void Merge(const ValidationAgg& other) {
+    into_lt += other.into_lt;
+    outof_lt += other.outof_lt;
+    into_gt += other.into_gt;
+    outof_gt += other.outof_gt;
+    if (other.has_hint) AddHint(other.min_changed, other.max_changed);
+  }
 
   /// Records one node's region transition `from` -> `to` for a value that
   /// is now `value`.
-  void AddTransition(Region from, Region to, int64_t value);
+  void AddTransition(Region from, Region to, int64_t value) {
+    if (from == to) return;
+    if (to == Region::kLt) ++into_lt;
+    if (from == Region::kLt) ++outof_lt;
+    if (to == Region::kGt) ++into_gt;
+    if (from == Region::kGt) ++outof_gt;
+    AddHint(value, value);
+  }
+
+ private:
+  void AddHint(int64_t lo, int64_t hi) {
+    if (!has_hint) {
+      has_hint = true;
+      min_changed = lo;
+      max_changed = hi;
+    } else {
+      min_changed = std::min(min_changed, lo);
+      max_changed = std::max(max_changed, hi);
+    }
+  }
 };
+
+/// One entry of a sparse multi-rank validation row: (rank index, that
+/// rank's non-empty aggregate).
+using AggEntry = std::pair<int, ValidationAgg>;
 
 /// Reusable struct-of-arrays rows for the convergecast hot loops, indexed
 /// by vertex. One workspace per protocol instance; a wave's Prepare* call
@@ -97,11 +126,10 @@ struct ValidationAgg {
 class WaveWorkspace {
  public:
   /// `n` ValidationAgg rows, reset to empty.
-  std::vector<ValidationAgg>& PrepareAgg(size_t n) {
-    return PrepareAggRows(n, 1);
-  }
-  /// Flat (n × rows) ValidationAgg matrix for multi-rank waves.
-  std::vector<ValidationAgg>& PrepareAggRows(size_t n, size_t rows);
+  std::vector<ValidationAgg>& PrepareAgg(size_t n);
+
+  /// `n` sparse AggEntry rows, all cleared (multi-rank validation).
+  std::vector<std::vector<AggEntry>>& PrepareAggEntries(size_t n);
 
   /// `n` value-collection rows, all cleared. Used by the k-limited /
   /// range / top-f collections.
@@ -112,8 +140,9 @@ class WaveWorkspace {
   /// are still being consumed.
   std::vector<std::vector<int64_t>>& PrepareWindows(size_t n);
 
-  /// `n` sparse (bucket, delta) rows, all cleared (LCLL validation).
-  std::vector<std::vector<std::pair<int, int64_t>>>& PrepareDeltas(size_t n);
+  /// `n` sparse (index, value) rows, all cleared: LCLL's (bucket, delta)
+  /// validation rows and multi-rank (rank index, window value) rows.
+  std::vector<std::vector<std::pair<int, int64_t>>>& PreparePairs(size_t n);
 
   /// Histogram arena of `n` rows × `buckets` counts. Rows start logically
   /// zero and are zeroed lazily on first HistRow touch; per-row totals
@@ -130,9 +159,10 @@ class WaveWorkspace {
 
  private:
   std::vector<ValidationAgg> agg_;
+  std::vector<std::vector<AggEntry>> agg_entries_;
   std::vector<std::vector<int64_t>> sets_;
   std::vector<std::vector<int64_t>> windows_;
-  std::vector<std::vector<std::pair<int, int64_t>>> deltas_;
+  std::vector<std::vector<std::pair<int, int64_t>>> pairs_;
 
   std::vector<int64_t> hist_;
   std::vector<int64_t> hist_total_;

@@ -84,7 +84,7 @@ void LcllProtocol::Validate(Network* net,
   // by bucket id — the struct-of-arrays form of a per-vertex ordered map,
   // merged bottom-up with a linear two-pointer sweep.
   std::vector<std::vector<std::pair<int, int64_t>>>& inbox =
-      ws_.PrepareDeltas(static_cast<size_t>(net->num_vertices()));
+      ws_.PreparePairs(static_cast<size_t>(net->num_vertices()));
 
   // Prescan: most rounds most values stay in their bucket, so the wave
   // below would do nothing at most vertices. One flat pass finds the

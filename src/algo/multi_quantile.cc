@@ -67,100 +67,195 @@ void MultiIqProtocol::RunRound(Network* net,
   WSNQ_CHECK_EQ(prev_values_.size(), values_by_vertex.size());
 
   // --- Shared validation convergecast ------------------------------------
-  // aggs[v * m + j] / windows[v * m + j]: rank j's aggregate and window
-  // multiset of v's subtree, as flat workspace rows. The windows family is
-  // independent of the collection rows, so the per-rank refinements issued
-  // below can run while the root windows are still being consumed.
+  // Sparse rows: aggs[v] holds (rank index, aggregate) for the ranks whose
+  // aggregate over v's subtree is non-empty, sorted by rank index;
+  // windows[v] holds (rank index, value) for every window value of the
+  // subtree, unordered (the root sorts each rank's window). A node's own
+  // value touches only the ranks whose filter it crosses or whose window
+  // it falls in, found by binary search in the ranks sorted by filter.
+  // Sort by filter, not rank index: under loss the filters need not be
+  // monotone in k.
   const size_t m = ks_.size();
   const size_t vertices = static_cast<size_t>(net->num_vertices());
-  std::vector<ValidationAgg>& aggs = ws_.PrepareAggRows(vertices, m);
-  std::vector<std::vector<int64_t>>& windows =
-      ws_.PrepareWindows(vertices * m);
+  by_filter_.clear();
+  int64_t reach_below = 0;  // max -xi_l: a window reaches this far below
+  int64_t reach_above = 0;  // max xi_r
+  for (size_t j = 0; j < m; ++j) {
+    const RankState& state = states_[j];
+    by_filter_.push_back({state.filter, state.filter + state.xi_l,
+                          state.filter + state.xi_r, static_cast<int>(j)});
+    reach_below = std::max(reach_below, -state.xi_l);
+    reach_above = std::max(reach_above, state.xi_r);
+  }
+  std::sort(by_filter_.begin(), by_filter_.end(),
+            [](const FilterEntry& a, const FilterEntry& b) {
+              return a.filter != b.filter ? a.filter < b.filter
+                                          : a.rank < b.rank;
+            });
+  std::vector<std::vector<AggEntry>>& aggs = ws_.PrepareAggEntries(vertices);
+  std::vector<std::vector<std::pair<int, int64_t>>>& windows =
+      ws_.PreparePairs(vertices);
   struct Ops {
     MultiIqProtocol* self;
     Network* net;
     const std::vector<int64_t>& values;
-    std::vector<ValidationAgg>& aggs;
-    std::vector<std::vector<int64_t>>& windows;
-    size_t m;
+    std::vector<std::vector<AggEntry>>& aggs;
+    std::vector<std::vector<std::pair<int, int64_t>>>& windows;
+    int64_t reach_below;
+    int64_t reach_above;
+    int64_t bitmap_bits;
+    int64_t agg_bits;
+    int64_t hint_bits;
+
+    // First rank in filter order whose filter is >= `value`.
+    std::vector<FilterEntry>::const_iterator FirstAtLeast(
+        int64_t value) const {
+      return std::lower_bound(self->by_filter_.begin(),
+                              self->by_filter_.end(), value,
+                              [](const FilterEntry& e, int64_t x) {
+                                return e.filter < x;
+                              });
+    }
+
+    // Rows of v's own value: a move from p to x crosses exactly the
+    // ranks with filter in [min(p, x), max(p, x)].
+    void AddOwn(int v, std::vector<AggEntry>* row,
+                std::vector<std::pair<int, int64_t>>* window) const {
+      const size_t i = static_cast<size_t>(v);
+      const int64_t p = self->prev_values_[i];
+      const int64_t x = values[i];
+      const auto end = self->by_filter_.end();
+      if (p != x) {
+        for (auto it = FirstAtLeast(std::min(p, x));
+             it != end && it->filter <= std::max(p, x); ++it) {
+          ValidationAgg agg;
+          agg.AddTransition(ClassifyThreshold(p, it->filter),
+                            ClassifyThreshold(x, it->filter), x);
+          row->emplace_back(it->rank, agg);
+        }
+        std::sort(row->begin(), row->end(),
+                  [](const AggEntry& a, const AggEntry& b) {
+                    return a.first < b.first;
+                  });
+      }
+      // x lies in rank j's window only if x - xi_r <= filter <= x - xi_l.
+      for (auto it = FirstAtLeast(x - reach_above);
+           it != end && it->filter <= x + reach_below; ++it) {
+        if (x >= it->window_lo && x <= it->window_hi && x != it->filter) {
+          window->emplace_back(it->rank, x);
+        }
+      }
+    }
 
     WaveSend Process(int v, WaveLane& /*lane*/) {
-      const size_t base = static_cast<size_t>(v) * m;
-      if (!net->is_root(v)) {
-        const size_t i = static_cast<size_t>(v);
-        for (size_t j = 0; j < m; ++j) {
-          const RankState& state = self->states_[j];
-          aggs[base + j].AddTransition(
-              ClassifyThreshold(self->prev_values_[i], state.filter),
-              ClassifyThreshold(values[i], state.filter), values[i]);
-          if (values[i] >= state.filter + state.xi_l &&
-              values[i] <= state.filter + state.xi_r &&
-              values[i] != state.filter) {
-            windows[base + j].push_back(values[i]);
-          }
-        }
-      }
+      std::vector<AggEntry>& row = aggs[static_cast<size_t>(v)];
+      std::vector<std::pair<int, int64_t>>& window =
+          windows[static_cast<size_t>(v)];
+      if (!net->is_root(v)) AddOwn(v, &row, &window);
       for (int child : net->tree().children[static_cast<size_t>(v)]) {
-        const size_t child_base = static_cast<size_t>(child) * m;
-        for (size_t j = 0; j < m; ++j) {
-          aggs[base + j].Merge(aggs[child_base + j]);
-          std::vector<int64_t>& theirs = windows[child_base + j];
-          if (theirs.empty()) continue;
-          std::vector<int64_t>& mine = windows[base + j];
-          if (mine.empty()) {
-            mine.swap(theirs);
-          } else {
-            mine.insert(mine.end(), theirs.begin(), theirs.end());
-            theirs.clear();
-          }
-        }
-      }
-      int64_t payload = static_cast<int64_t>(m);  // per-rank presence bitmap
-      int64_t window_values = 0;
-      bool any = false;
-      for (size_t j = 0; j < m; ++j) {
-        if (!aggs[base + j].empty()) {
-          payload += 4 * self->wire_.counter_bits +
-                     (aggs[base + j].has_hint && self->options_.use_hints
-                          ? self->wire_.value_bits
-                          : 0);
-          any = true;
-        }
-        if (!windows[base + j].empty()) {
-          payload += static_cast<int64_t>(windows[base + j].size()) *
-                     self->wire_.value_bits;
-          window_values += static_cast<int64_t>(windows[base + j].size());
-          any = true;
+        MergeRow(&aggs[static_cast<size_t>(child)], &row);
+        std::vector<std::pair<int, int64_t>>& theirs =
+            windows[static_cast<size_t>(child)];
+        if (window.empty()) {
+          window.swap(theirs);
+        } else {
+          window.insert(window.end(), theirs.begin(), theirs.end());
+          theirs.clear();
         }
       }
       WaveSend send;
-      if (any) {
-        send.payload_bits = payload;
-        send.value_count = window_values;
+      if (row.empty() && window.empty()) return send;
+      int64_t payload = bitmap_bits;  // per-rank presence bitmap
+      for (const AggEntry& entry : row) {
+        payload += agg_bits + (entry.second.has_hint ? hint_bits : 0);
       }
+      const int64_t window_values = static_cast<int64_t>(window.size());
+      send.payload_bits = payload + window_values * self->wire_.value_bits;
+      send.value_count = window_values;
       return send;
     }
-    void OnLost(int v) {
-      const size_t base = static_cast<size_t>(v) * m;
-      for (size_t j = 0; j < m; ++j) {
-        aggs[base + j] = ValidationAgg{};
-        windows[base + j].clear();
+
+    // Two-pointer merge of the child's row into `row` (both sorted by
+    // rank index), run backwards in place: `row` grows by the child's
+    // fresh ranks, and entries ahead of the first fresh rank never move.
+    // Leaves the child's row empty. Buffers swap only into an empty row,
+    // so each vertex keeps roughly its own subtree's capacity.
+    static void MergeRow(std::vector<AggEntry>* theirs,
+                         std::vector<AggEntry>* row) {
+      if (theirs->empty()) return;
+      if (row->empty()) {
+        row->swap(*theirs);
+        return;
       }
+      std::vector<AggEntry>& mine = *row;
+      const std::vector<AggEntry>& child = *theirs;
+      size_t fresh = 0;
+      size_t at = 0;
+      for (const AggEntry& entry : child) {
+        while (at < mine.size() && mine[at].first < entry.first) ++at;
+        if (at < mine.size() && mine[at].first == entry.first) {
+          ++at;
+        } else {
+          ++fresh;
+        }
+      }
+      // i, j: unplaced prefixes of mine and child; k: unfilled prefix.
+      size_t i = mine.size();
+      size_t j = child.size();
+      mine.resize(mine.size() + fresh);
+      size_t k = mine.size();
+      while (j > 0) {
+        if (i > 0 && mine[i - 1].first >= child[j - 1].first) {
+          if (mine[i - 1].first == child[j - 1].first) {
+            mine[i - 1].second.Merge(child[--j].second);
+          }
+          if (k != i) mine[k - 1] = mine[i - 1];
+          --i;
+        } else {
+          mine[k - 1] = child[--j];
+        }
+        --k;
+      }
+      theirs->clear();
+    }
+
+    void OnLost(int v) {
+      aggs[static_cast<size_t>(v)].clear();
+      windows[static_cast<size_t>(v)].clear();
     }
   };
-  Ops ops{this, net, values_by_vertex, aggs, windows, m};
+  Ops ops{this,
+          net,
+          values_by_vertex,
+          aggs,
+          windows,
+          reach_below,
+          reach_above,
+          static_cast<int64_t>(m),
+          4 * wire_.counter_bits,
+          options_.use_hints ? wire_.value_bits : 0};
   RunConvergecastWave(net, ops);
   prev_values_ = values_by_vertex;
 
   // --- Per-rank resolution -------------------------------------------------
-  const size_t root_base = static_cast<size_t>(net->root()) * m;
+  // Group the root's sparse rows per rank (capacity kept across rounds).
+  const size_t root = static_cast<size_t>(net->root());
+  root_aggs_.assign(m, ValidationAgg{});
+  for (const AggEntry& entry : aggs[root]) {
+    root_aggs_[static_cast<size_t>(entry.first)] = entry.second;
+  }
+  root_windows_.resize(m);
+  for (std::vector<int64_t>& window : root_windows_) window.clear();
+  for (const auto& [j, x] : windows[root]) {
+    root_windows_[static_cast<size_t>(j)].push_back(x);
+  }
   std::vector<int64_t> new_filters(m);
   bool any_changed = false;
   for (size_t j = 0; j < m; ++j) {
-    std::vector<int64_t>& window = windows[root_base + j];
+    std::vector<int64_t>& window = root_windows_[j];
     std::sort(window.begin(), window.end());
     const int64_t q = ResolveRank(net, values_by_vertex, &states_[j], window,
-                                  aggs[root_base + j]);
+                                  root_aggs_[j]);
     new_filters[j] = q;
     any_changed |= (q != states_[j].filter);
   }

@@ -8,6 +8,18 @@
 // values of every tracked rank, so the per-message header — the dominant
 // fixed cost — is paid once instead of m times (bench/abl_multiq measures
 // the saving).
+//
+// The validation wave keeps sparse per-vertex rows, so its work follows
+// the ranks a value touches rather than every rank tracked. Vertex v's
+// aggregate row lists (rank index, ValidationAgg) only for the ranks whose
+// aggregate over v's subtree is non-empty, sorted by rank index; children
+// fold in by a two-pointer merge. Its window row lists (rank index, value)
+// for every window value in the subtree. A node finds the ranks its own
+// value touches by binary search in the ranks sorted by filter: a move
+// from p to x crosses exactly the filters in [min(p, x), max(p, x)]. The
+// packet is priced from the rows as before: an m-bit presence bitmap, four
+// counters (plus a hint value) per non-empty aggregate, and one value per
+// window entry.
 
 #ifndef WSNQ_ALGO_MULTI_QUANTILE_H_
 #define WSNQ_ALGO_MULTI_QUANTILE_H_
@@ -82,6 +94,19 @@ class MultiIqProtocol {
   int64_t tree_epoch_ = 0;
   int64_t refinements_ = 0;
   WaveWorkspace ws_;
+  /// One rank as the validation wave sees it: its filter, its window
+  /// [filter + xi_l, filter + xi_r] and its index into states_.
+  struct FilterEntry {
+    int64_t filter = 0;
+    int64_t window_lo = 0;
+    int64_t window_hi = 0;
+    int rank = 0;
+  };
+  /// Every rank's FilterEntry, sorted by (filter, rank) once per round.
+  std::vector<FilterEntry> by_filter_;
+  /// The root's validation rows grouped per rank.
+  std::vector<ValidationAgg> root_aggs_;
+  std::vector<std::vector<int64_t>> root_windows_;
 };
 
 }  // namespace wsnq

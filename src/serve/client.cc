@@ -59,17 +59,22 @@ bool Client::Flush() {
 
 bool Client::Drain() {
   uint8_t buf[kReadChunk];
+  bool open = true;
   for (;;) {
     StatusOr<int64_t> n = ReadFd(fd_.get(), buf, kReadChunk);
-    if (!n.ok()) return false;
-    if (n.value() == 0) return false;  // EOF
-    if (n.value() < 0) break;          // drained
+    if (!n.ok() || n.value() == 0) {  // error or EOF
+      open = false;
+      break;
+    }
+    if (n.value() < 0) break;  // drained
     reader_.Feed(buf, static_cast<size_t>(n.value()));
   }
+  // Decode what arrived before reporting a close: a peer that writes its
+  // last frames and hangs up must not lose them.
   Frame frame;
   for (;;) {
     const ReadResult result = reader_.Next(&frame, nullptr);
-    if (result == ReadResult::kNeedMore) return true;
+    if (result == ReadResult::kNeedMore) return open;
     if (result == ReadResult::kMalformed) return false;
     inbox_.push_back(std::move(frame));
     ++frames_received_;

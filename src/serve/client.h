@@ -51,6 +51,8 @@ class Client {
                             int timeout_ms);
 
   /// Non-blocking flush/drain; false when the connection is finished.
+  /// Drain decodes every complete frame it read into the inbox first, so
+  /// frames that arrive together with the peer's close are kept.
   bool Flush();
   bool Drain();
 

@@ -1,7 +1,21 @@
-// Multi-quantile extension: all tracked ranks stay exact every round, and
-// the shared convergecast beats independent per-rank queries on packets.
+// Multi-quantile extension: all tracked ranks stay exact every round, the
+// shared convergecast beats independent per-rank queries on packets, and
+// the per-round accounting is pinned to a golden file.
+//
+// The golden file tests/golden/multi_iq_accounting.txt records, for every
+// round of six fixed scenarios, the round's energy summed over vertices
+// (hex float), the lifetime packet / value / convergecast totals and the
+// refinement count. After an intentional accounting change, regenerate it
+// with:
+//
+//   WSNQ_UPDATE_GOLDEN=1 ./build/tests/multi_quantile_test
+//
+// which rewrites the file in the source tree (WSNQ_TEST_SRCDIR) and skips.
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,7 +23,10 @@
 #include "algo/iq.h"
 #include "algo/multi_quantile.h"
 #include "algo/oracle.h"
+#include "fault/fault_plan.h"
+#include "net/wave.h"
 #include "tests/test_scenario.h"
+#include "util/env.h"
 #include "util/rng.h"
 
 namespace wsnq {
@@ -138,6 +155,122 @@ TEST(MultiIqTest, SharedConvergecastBeatsIndependentQueries) {
     independent_packets += net.total_packets();
   }
   EXPECT_LT(shared_packets, independent_packets);
+}
+
+// --- Accounting golden ----------------------------------------------------
+
+const char kAccountingGolden[] = "/golden/multi_iq_accounting.txt";
+
+/// One golden scenario: a network of 128 sensors, the tracked ranks, and
+/// what is installed on the network before round 0.
+struct AccountingCase {
+  const char* name;
+  std::vector<int64_t> ks;
+  /// Installed as a FaultPlan when enabled().
+  FaultConfig fault;
+  uint64_t fault_seed = 0;
+  bool executor = false;
+};
+
+/// Frame loss with a short stop-and-wait retry budget, so a few uplinks are
+/// lost outright (OnLost runs) and the per-rank filters drift apart.
+///
+/// MultiIqProtocol has no best-effort fallbacks: at most loss settings its
+/// initial collection or a refinement comes back short and a CHECK aborts.
+/// These two settings run all rounds; they lose 11 and 2 uplinks and leave
+/// the filters out of rank order in some rounds.
+FaultConfig ShortArq(double loss, int max_retx) {
+  FaultConfig fault;
+  fault.loss = loss;
+  fault.arq.enabled = true;
+  fault.arq.max_retx = max_retx;
+  return fault;
+}
+
+/// Runs `c` over a drifting value script and appends one line per round.
+void AppendAccounting(const AccountingCase& c, std::string* out) {
+  constexpr int kSensors = 128;
+  constexpr int64_t kRounds = 60;
+  Network net = MakeRandomNetwork(kSensors, 91);
+  if (c.fault.enabled()) {
+    net.set_transport_policy(std::make_unique<FaultPlan>(
+        c.fault, c.fault_seed, /*run=*/0, net.num_vertices(), net.root()));
+  }
+  WaveExecutor executor(/*threads=*/2, /*target_parts=*/6);
+  if (c.executor) net.set_wave_executor(&executor);
+  MultiIqProtocol protocol(c.ks, 0, 4095, WireFormat{}, {});
+  Rng rng(13);
+  std::vector<int64_t> values(static_cast<size_t>(net.num_vertices()), 0);
+  for (int v = 1; v < net.num_vertices(); ++v) {
+    values[static_cast<size_t>(v)] = rng.UniformInt(1500, 2500);
+  }
+  for (int64_t round = 0; round < kRounds; ++round) {
+    net.BeginRound();
+    protocol.RunRound(&net, values, round);
+    double energy = 0.0;
+    for (int v = 0; v < net.num_vertices(); ++v) energy += net.round_energy(v);
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "%s round=%lld energy=%a packets=%lld values=%lld "
+                  "convergecasts=%lld refinements=%lld\n",
+                  c.name, static_cast<long long>(round), energy,
+                  static_cast<long long>(net.total_packets()),
+                  static_cast<long long>(net.total_values()),
+                  static_cast<long long>(net.total_convergecasts()),
+                  static_cast<long long>(protocol.refinements_last_round()));
+    *out += line;
+    const int64_t shift = rng.UniformInt(-20, 20);
+    for (int v = 1; v < net.num_vertices(); ++v) {
+      values[static_cast<size_t>(v)] = std::clamp<int64_t>(
+          values[static_cast<size_t>(v)] + shift + rng.UniformInt(-12, 12),
+          0, 4095);
+    }
+  }
+}
+
+std::string ReadGolden(const std::string& path) {
+  std::string body;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return body;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) body.append(buf, n);
+  std::fclose(f);
+  return body;
+}
+
+TEST(MultiIqGoldenTest, AccountingMatchesFrozenFile) {
+  std::vector<int64_t> all(128);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i) + 1;
+  // A random quarter of the ranks, in increasing order.
+  std::vector<int64_t> quarter;
+  Rng pick(17);
+  for (int64_t k : all) {
+    if (pick.UniformInt(0, 3) == 0) quarter.push_back(k);
+  }
+  const std::vector<AccountingCase> cases = {
+      {"dense", all, FaultConfig{}, 0, false},
+      {"quarter", quarter, FaultConfig{}, 0, false},
+      {"lossy-quarter", quarter, ShortArq(0.1, 2), /*fault_seed=*/8, false},
+      {"lossy-dense", all, ShortArq(0.1, 3), /*fault_seed=*/5, false},
+      {"executor", all, FaultConfig{}, 0, /*executor=*/true},
+      {"executor-quarter", quarter, FaultConfig{}, 0, /*executor=*/true},
+  };
+  std::string actual;
+  for (const AccountingCase& c : cases) AppendAccounting(c, &actual);
+
+  const std::string path = std::string(WSNQ_TEST_SRCDIR) + kAccountingGolden;
+  if (GetEnv("WSNQ_UPDATE_GOLDEN").has_value()) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << "cannot write " << path;
+    ASSERT_EQ(std::fwrite(actual.data(), 1, actual.size(), f), actual.size());
+    ASSERT_EQ(std::fclose(f), 0);
+    GTEST_SKIP() << "rewrote " << path;
+  }
+  const std::string expected = ReadGolden(path);
+  ASSERT_FALSE(expected.empty())
+      << "cannot read " << path << "; regenerate with WSNQ_UPDATE_GOLDEN=1";
+  EXPECT_EQ(actual, expected);
 }
 
 }  // namespace

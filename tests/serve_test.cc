@@ -265,8 +265,11 @@ TEST(BrokerTest, AnswersAreExactOrderStatistics) {
 /// Runs a fixed subscription scenario (including a mid-run subscribe and
 /// unsubscribe, which exercises protocol rebuilds) and returns the exact
 /// encoded answer-payload byte stream.
-std::vector<uint8_t> AnswerBytes(int shards, int threads) {
-  QuantileBroker broker(SmallBroker(shards, threads));
+std::vector<uint8_t> AnswerBytes(int shards, int threads,
+                                 bool subtree_parallel = false) {
+  BrokerOptions options = SmallBroker(shards, threads);
+  options.subtree_parallel = subtree_parallel;
+  QuantileBroker broker(options);
   std::vector<uint64_t> subs;
   for (int i = 0; i < 12; ++i) {
     const std::string field = "field-" + std::to_string(i % 5);
@@ -305,6 +308,10 @@ TEST(BrokerDeterminismTest, AnswerBytesIdenticalAcrossShardsAndThreads) {
       << "--shards=4 --threads=8 diverged";
   EXPECT_EQ(AnswerBytes(16, 4), reference)
       << "--shards=16 --threads=4 diverged";
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(AnswerBytes(1, threads, /*subtree_parallel=*/true), reference)
+        << "--subtree-parallel --threads=" << threads << " diverged";
+  }
 }
 
 // --- CLI validation -------------------------------------------------------
@@ -566,6 +573,52 @@ TEST(ServerSocketTest, RunHonorsMaxRounds) {
   ASSERT_TRUE(server.Listen().ok());
   ASSERT_TRUE(server.Run(nullptr).ok());
   EXPECT_EQ(server.broker_stats().rounds, 3);
+}
+
+TEST(ClientTest, FramesWrittenJustBeforeThePeerClosesAreKept) {
+  // The peer writes two ANSWER frames and closes before the client pumps,
+  // so one Drain call reads both frames and the EOF.
+  StatusOr<int> listener = ListenLoopback(0);
+  ASSERT_TRUE(listener.ok());
+  UniqueFd listen_fd(listener.value());
+  StatusOr<int> port = BoundPort(listen_fd.get());
+  ASSERT_TRUE(port.ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(port.value()).ok());
+  StatusOr<int> accepted = Status::NotFound("pending");
+  for (int i = 0; i < 1000 && !accepted.ok(); ++i) {
+    accepted = AcceptConnection(listen_fd.get());
+  }
+  ASSERT_TRUE(accepted.ok());
+  {
+    UniqueFd server_fd(accepted.value());
+    std::vector<uint8_t> bytes;
+    for (int64_t round = 0; round < 2; ++round) {
+      Frame frame;
+      frame.opcode = static_cast<uint8_t>(Opcode::kAnswer);
+      frame.payload = EncodeAnswerPayload(AnswerPush{7, round, 100 + round});
+      AppendFrame(frame, &bytes);
+    }
+    StatusOr<int64_t> written = WriteFd(
+        server_fd.get(), bytes.data(), static_cast<int64_t>(bytes.size()));
+    ASSERT_TRUE(written.ok());
+    ASSERT_EQ(written.value(), static_cast<int64_t>(bytes.size()));
+  }  // closes the server side
+
+  std::vector<Client*> clients = {&client};
+  for (int i = 0; i < 200 && !client.closed(); ++i) {
+    ASSERT_TRUE(PumpClients(clients, 10).ok());
+  }
+  ASSERT_TRUE(client.closed());
+  const std::vector<Frame> frames = client.TakeFrames();
+  ASSERT_EQ(frames.size(), 2u);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(frames[i].opcode, static_cast<uint8_t>(Opcode::kAnswer));
+    const auto push = DecodeAnswerPayload(frames[i].payload);
+    ASSERT_TRUE(push.ok());
+    EXPECT_EQ(push.value().round, static_cast<int64_t>(i));
+    EXPECT_EQ(push.value().value, 100 + static_cast<int64_t>(i));
+  }
 }
 
 TEST(SocketsTest, ListenerResolvesEphemeralPortAndAccepts) {
