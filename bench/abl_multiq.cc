@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
   config.rounds = RoundsFromEnv(250);
   config.synthetic.period_rounds = 125;
   config.synthetic.noise_percent = 5;
-  if (!bench::ParseCommonFlags(argc, argv, &config)) return 2;
+  if (!bench::ParseCommonFlags(argc, argv, &config, bench::kProfileOnly)) {
+    return 2;
+  }
   const int runs = RunsFromEnv(20);
 
   // Per-run measurements, filled by the pool and folded in run order so
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
   });
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+    return bench::FinishObservability(1);
   }
 
   RunningStat shared_energy, shared_packets;
@@ -134,5 +136,5 @@ int main(int argc, char** argv) {
               shared_energy.mean(), shared_packets.mean());
   std::printf("%-10s %-14s %14.6f %10.1f\n", "abl-multiq",
               "IQx3-independent", indep_energy.mean(), indep_packets.mean());
-  return 0;
+  return bench::FinishObservability(0);
 }

@@ -13,8 +13,6 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "perf/bench_harness.h"
-#include "perf/stage_collector.h"
 #include "util/flags.h"
 #include "util/trace.h"
 
@@ -22,14 +20,25 @@ namespace wsnq {
 namespace bench {
 
 /// Observability outputs shared by all benches, filled by
-/// ParseCommonFlags and consumed by RunSweep.
+/// ParseCommonFlags and consumed by FinishObservability and MetricsCsv.
 struct CommonOptions {
   std::string trace_path;    ///< --trace=PATH (empty: no trace)
   std::string metrics_path;  ///< --metrics=PATH (empty: no metrics CSV)
   std::string profile_path;  ///< --profile[=PATH] ("true": stderr only)
-  int reps = 1;              ///< --reps=N
-  int warmup = 0;            ///< --warmup=N
 };
+
+/// The file outputs a bench can feed besides the profile, which every
+/// bench reports. Benches built on RunSweep or RunExperiment feed both; a
+/// hand-rolled bench that folds no run traces or writes no aggregate rows
+/// turns the matching field off, and ParseCommonFlags then rejects that
+/// flag instead of accepting it and writing nothing.
+struct Outputs {
+  bool trace = true;    ///< run traces reach trace::GlobalSink()
+  bool metrics = true;  ///< aggregates go through MetricsCsv::AddRows
+};
+
+/// Outputs of a bench that only reports its profile.
+inline constexpr Outputs kProfileOnly{.trace = false, .metrics = false};
 
 inline CommonOptions& Options() {
   static CommonOptions options;
@@ -60,29 +69,31 @@ inline SimulationConfig DefaultSyntheticConfig() {
 ///                    Chrome/Perfetto JSON; needs -DWSNQ_TRACING=ON).
 ///   --metrics=PATH   long-format metrics CSV (docs/observability.md).
 ///   --profile[=PATH] wall-clock stage profile to stderr (plus JSON when a
-///                    PATH is given); attaches the perf::StageCollector so
-///                    stages carry hardware-counter/alloc deltas where the
-///                    host provides them.
-///   --reps=N         measured repetitions of the sweep computation
-///                    (default 1). Rows print once (rep 0); the "# bench"
-///                    stderr line reports median/MAD/CV over the reps, so
-///                    stdout stays byte-identical.
-///   --warmup=N       unmeasured warmup repetitions before the first
-///                    measured one (default 0).
-/// Returns false (after printing to stderr) on malformed values or unknown
-/// flags, so typos fail the bench instead of silently running defaults.
+///                    PATH is given).
+/// --trace and --metrics exist only where `outputs` says the bench feeds
+/// them. Returns false (after printing to stderr) on malformed values or
+/// unknown flags, so typos fail the bench instead of silently running
+/// defaults. Every bench that calls this returns through
+/// FinishObservability.
 inline bool ParseCommonFlags(int argc, const char* const* argv,
-                             SimulationConfig* config) {
+                             SimulationConfig* config,
+                             Outputs outputs = {}) {
   FlagParser flags(argc, argv);
   config->threads =
       static_cast<int>(flags.GetInt("threads", config->threads));
   config->subtree_parallel =
       flags.GetBool("subtree-parallel", config->subtree_parallel);
-  Options().trace_path = flags.GetString("trace", "");
-  Options().metrics_path = flags.GetString("metrics", "");
+  std::string supported = "--threads=N --subtree-parallel[=BOOL]";
+  if (outputs.trace) {
+    Options().trace_path = flags.GetString("trace", "");
+    supported += " --trace=PATH";
+  }
+  if (outputs.metrics) {
+    Options().metrics_path = flags.GetString("metrics", "");
+    supported += " --metrics=PATH";
+  }
   Options().profile_path = flags.GetString("profile", "");
-  Options().reps = static_cast<int>(flags.GetInt("reps", 1));
-  Options().warmup = static_cast<int>(flags.GetInt("warmup", 0));
+  supported += " --profile[=PATH]";
   config->collect_metrics = !Options().metrics_path.empty();
   bool ok = true;
   for (const std::string& error : flags.errors()) {
@@ -90,21 +101,12 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
     ok = false;
   }
   for (const std::string& unused : flags.UnusedFlags()) {
-    std::fprintf(stderr,
-                 "unknown flag: --%s (supported: --threads=N "
-                 "--subtree-parallel[=BOOL] --trace=PATH --metrics=PATH "
-                 "--profile[=PATH] --reps=N --warmup=N)\n",
-                 unused.c_str());
+    std::fprintf(stderr, "unknown flag: --%s (supported: %s)\n",
+                 unused.c_str(), supported.c_str());
     ok = false;
   }
   if (!ok) return false;
-  if (!Options().profile_path.empty()) {
-    prof::Enable();
-    // Attach counters/alloc accounting to the prof:: spans. The status
-    // line says whether this host grants perf_event_open; stderr, so
-    // deterministic stdout is untouched.
-    std::fprintf(stderr, "%s\n", perf::InstallStageCollector().c_str());
-  }
+  if (!Options().profile_path.empty()) prof::Enable();
   if (!Options().trace_path.empty()) {
     if (!trace::CompiledIn()) {
       std::fprintf(stderr,
@@ -119,8 +121,7 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
 
 /// Writes the trace file and profile report configured by
 /// ParseCommonFlags; returns `code`, downgraded to 1 on a failed write.
-/// RunSweep calls this; hand-rolled benches (fig4_iq_trace) call it before
-/// returning.
+/// RunSweep calls this; hand-rolled benches return through it.
 inline int FinishObservability(int code) {
   const Status trace_status = trace::FlushGlobalSink();
   if (!trace_status.ok()) {
@@ -141,6 +142,42 @@ inline int FinishObservability(int code) {
   return code;
 }
 
+/// The --metrics=PATH long-format CSV (docs/observability.md). Open()
+/// creates the file with its header and AddRows() appends one aggregate's
+/// metrics; both do nothing when --metrics was not given.
+class MetricsCsv {
+ public:
+  MetricsCsv() = default;
+  MetricsCsv(const MetricsCsv&) = delete;
+  MetricsCsv& operator=(const MetricsCsv&) = delete;
+  ~MetricsCsv() {
+    if (out_ != nullptr) std::fclose(out_);
+  }
+
+  /// Returns false (after printing to stderr) if the file cannot be made.
+  bool Open() {
+    const std::string& path = Options().metrics_path;
+    if (path.empty()) return true;
+    out_ = std::fopen(path.c_str(), "w");
+    if (out_ == nullptr) {
+      std::fprintf(stderr, "cannot open --metrics=%s\n", path.c_str());
+      return false;
+    }
+    PrintMetricsCsvHeader(out_);
+    return true;
+  }
+
+  void AddRows(const std::string& figure, const std::string& dataset,
+               const std::string& x_name, const std::string& x_value,
+               const AlgorithmAggregate& aggregate) {
+    if (out_ == nullptr) return;
+    PrintMetricsCsvRows(out_, figure, dataset, x_name, x_value, aggregate);
+  }
+
+ private:
+  std::FILE* out_ = nullptr;
+};
+
 /// Runs one x-axis sweep over labeled protocol factories and prints rows.
 /// `configure` mutates the base config for a given x-value. The points go
 /// through the batched core RunSweep (core/experiment.h), which shares one
@@ -158,16 +195,8 @@ inline int RunSweep(
         configure) {
   const int runs = RunsFromEnv(20);
   const auto start = std::chrono::steady_clock::now();
-  std::FILE* metrics_out = nullptr;
-  if (!Options().metrics_path.empty()) {
-    metrics_out = std::fopen(Options().metrics_path.c_str(), "w");
-    if (metrics_out == nullptr) {
-      std::fprintf(stderr, "cannot open --metrics=%s\n",
-                   Options().metrics_path.c_str());
-      return FinishObservability(1);
-    }
-    PrintMetricsCsvHeader(metrics_out);
-  }
+  MetricsCsv metrics;
+  if (!metrics.Open()) return FinishObservability(1);
   std::vector<SweepPoint> points;
   points.reserve(x_values.size());
   for (const std::string& x : x_values) {
@@ -175,51 +204,21 @@ inline int RunSweep(
     configure(x, &point.config);
     points.push_back(std::move(point));
   }
-  // Repetition protocol (perf/bench_harness.h): the sweep computation runs
-  // `warmup` unmeasured times, then `reps` measured times. Only the FIRST
-  // invocation prints rows — the computation is deterministic, so every
-  // rep would yield identical rows, and printing once keeps stdout
-  // byte-identical to the single-shot (--reps=1, the default) behavior.
-  // The robust per-rep statistics go to stderr as a "# bench" line for
-  // bench_snapshot.py.
-  const perf::BenchHarness harness(Options().warmup, Options().reps);
-  int64_t total_errors = 0;
-  bool printed = false;
-  const auto sweep_once = [&]() -> int {
-    auto sweep = wsnq::RunSweep(points, factories, runs);
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "sweep %s failed: %s\n", x_name.c_str(),
-                   sweep.status().ToString().c_str());
-      return 1;
-    }
-    if (printed) return 0;  // warmup or repeat rep: compute only
-    printed = true;
-    PrintReportHeader();
-    for (const SweepPointResult& point : sweep.value()) {
-      for (const AlgorithmAggregate& agg : point.aggregates) {
-        PrintReportRow(figure, dataset, x_name, point.x_value, agg);
-        total_errors += agg.errors;
-        if (metrics_out != nullptr) {
-          PrintMetricsCsvRows(metrics_out, figure, dataset, x_name,
-                              point.x_value, agg);
-        }
-      }
-    }
-    return 0;
-  };
-  int sweep_code = 0;
-  const perf::RepStats rep_stats = harness.Measure(sweep_once, &sweep_code);
-  if (sweep_code != 0) {
-    if (metrics_out != nullptr) std::fclose(metrics_out);
+  auto sweep = wsnq::RunSweep(points, factories, runs);
+  if (!sweep.ok()) {
+    std::fprintf(stderr, "sweep %s failed: %s\n", x_name.c_str(),
+                 sweep.status().ToString().c_str());
     return FinishObservability(1);
   }
-  if (metrics_out != nullptr) std::fclose(metrics_out);
-  std::fprintf(stderr,
-               "# bench figure=%s reps=%d warmup=%d median_s=%.6f "
-               "mad_s=%.6f min_s=%.6f max_s=%.6f mean_s=%.6f cv=%.4f\n",
-               figure.c_str(), rep_stats.reps, harness.warmup(),
-               rep_stats.median_s, rep_stats.mad_s, rep_stats.min_s,
-               rep_stats.max_s, rep_stats.mean_s, rep_stats.cv);
+  int64_t total_errors = 0;
+  PrintReportHeader();
+  for (const SweepPointResult& point : sweep.value()) {
+    for (const AlgorithmAggregate& agg : point.aggregates) {
+      PrintReportRow(figure, dataset, x_name, point.x_value, agg);
+      total_errors += agg.errors;
+      metrics.AddRows(figure, dataset, x_name, point.x_value, agg);
+    }
+  }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -59,6 +59,8 @@ int main(int argc, char** argv) {
   config.synthetic.noise_percent = 5;
   if (!bench::ParseCommonFlags(argc, argv, &config)) return 2;
   const int runs = RunsFromEnv(20);
+  bench::MetricsCsv metrics;
+  if (!metrics.Open()) return bench::FinishObservability(1);
 
   const std::vector<ProtocolFactory> factories = {
       DefaultFactory(AlgorithmKind::kTag),
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
   if (!aggregates.ok()) {
     std::fprintf(stderr, "failed: %s\n",
                  aggregates.status().ToString().c_str());
-    return 1;
+    return bench::FinishObservability(1);
   }
   std::printf("%-10s %-9s %14s %14s %14s %16s %10s\n", "figure", "algo",
               "mean_rank_err", "max_rank_err", "max_energy_mJ",
@@ -89,6 +91,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(agg.max_rank_error),
                 agg.max_round_energy_mj.mean(), agg.lifetime_rounds.mean(),
                 agg.packets.mean());
+    metrics.AddRows("ext-apx", "synthetic", "-", "-", agg);
   }
-  return 0;
+  return bench::FinishObservability(0);
 }

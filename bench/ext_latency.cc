@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
   config.rounds = RoundsFromEnv(250);
   config.synthetic.period_rounds = 63;  // some movement every round
   config.synthetic.noise_percent = 5;
-  if (!bench::ParseCommonFlags(argc, argv, &config)) return 2;
+  if (!bench::ParseCommonFlags(argc, argv, &config, bench::kProfileOnly)) {
+    return 2;
+  }
   const int runs = RunsFromEnv(20);
 
   std::printf("%-10s %-9s %12s %12s %14s %14s\n", "figure", "algo",
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
   });
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+    return bench::FinishObservability(1);
   }
   for (int run = 0; run < runs; ++run) {
     for (size_t i = 0; i < algorithms.size(); ++i) {
@@ -117,5 +119,5 @@ int main(int argc, char** argv) {
                 rows[i].ccs.mean(), rows[i].slots.mean(),
                 rows[i].energy.mean());
   }
-  return 0;
+  return bench::FinishObservability(0);
 }

@@ -21,7 +21,9 @@ int main(int argc, char** argv) {
   config.radio_range = 40.0;
   config.synthetic.period_rounds = 125;
   config.synthetic.noise_percent = 5;
-  if (!bench::ParseCommonFlags(argc, argv, &config)) return 2;
+  if (!bench::ParseCommonFlags(argc, argv, &config, bench::kProfileOnly)) {
+    return 2;
+  }
   const int runs = RunsFromEnv(10);
   LifetimeOptions options;
   options.max_rounds = 20000;
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
     });
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
+      return bench::FinishObservability(1);
     }
     for (const LifetimeResult& r : per_run) {
       if (r.first_death_round >= 0) {
@@ -64,5 +66,5 @@ int main(int argc, char** argv) {
                 "ext-life", AlgorithmName(kind), first.mean(), p10.mean(),
                 p25.mean(), exact.mean(), total.mean(), epochs.mean());
   }
-  return 0;
+  return bench::FinishObservability(0);
 }

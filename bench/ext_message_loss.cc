@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
   base.synthetic.noise_percent = 5;
   if (!bench::ParseCommonFlags(argc, argv, &base)) return 2;
   const int runs = RunsFromEnv(20);
+  bench::MetricsCsv metrics;
+  if (!metrics.Open()) return bench::FinishObservability(1);
 
   std::printf("%-10s %-9s %-9s %14s %14s %14s %10s\n", "figure",
               "loss_pct", "algo", "mean_rank_err", "max_rank_err",
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
     if (!aggregates.ok()) {
       std::fprintf(stderr, "failed: %s\n",
                    aggregates.status().ToString().c_str());
-      return 1;
+      return bench::FinishObservability(1);
     }
     for (const AlgorithmAggregate& agg : aggregates.value()) {
       std::printf("%-10s %-9s %-9s %14.3f %14lld %14.6f %10.1f\n",
@@ -45,12 +47,13 @@ int main(int argc, char** argv) {
                   agg.rank_error.mean(),
                   static_cast<long long>(agg.max_rank_error),
                   agg.max_round_energy_mj.mean(), agg.packets.mean());
+      metrics.AddRows("ext-loss", "synthetic", "loss_pct", loss, agg);
       // With reliable links every protocol must still be exact.
       if (config.fault.loss == 0.0 && agg.errors != 0) {
         std::fprintf(stderr, "exactness violated at zero loss!\n");
-        return 1;
+        return bench::FinishObservability(1);
       }
     }
   }
-  return 0;
+  return bench::FinishObservability(0);
 }

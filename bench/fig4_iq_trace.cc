@@ -23,14 +23,17 @@ int main(int argc, char** argv) {
   config.radio_range = 35.0;
   config.rounds = 125;
   // Single-scenario trace: --threads is accepted for CLI uniformity but
-  // there is no multi-run fan-out here.
-  if (!bench::ParseCommonFlags(argc, argv, &config)) return 2;
+  // there is no multi-run fan-out here, and no aggregate for --metrics.
+  if (!bench::ParseCommonFlags(argc, argv, &config,
+                               bench::Outputs{.metrics = false})) {
+    return 2;
+  }
 
   StatusOr<Scenario> scenario = BuildScenario(config, /*run=*/0);
   if (!scenario.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",
                  scenario.status().ToString().c_str());
-    return 1;
+    return bench::FinishObservability(1);
   }
   IqProtocol iq(scenario.value().k, scenario.value().source->range_min(),
                 scenario.value().source->range_max(), config.wire,

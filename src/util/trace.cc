@@ -242,11 +242,9 @@ struct StageStat {
   double total_s = 0.0;
   double min_s = 0.0;
   double max_s = 0.0;
-  StageExtras extras;
 };
 
 std::atomic<bool> g_enabled{false};
-std::atomic<StageObserver*> g_observer{nullptr};
 
 /// Guards the profile's stage map (workers call AddSample concurrently).
 Mutex& ProfileMu() {
@@ -263,28 +261,6 @@ std::map<std::string, StageStat>& Stages() WSNQ_REQUIRES(ProfileMu()) {
 
 }  // namespace
 
-void StageExtras::Merge(const StageExtras& other) {
-  counter_spans += other.counter_spans;
-  cycles += other.cycles;
-  instructions += other.instructions;
-  cache_misses += other.cache_misses;
-  branch_misses += other.branch_misses;
-  task_clock_s += other.task_clock_s;
-  alloc_spans += other.alloc_spans;
-  alloc_count += other.alloc_count;
-  alloc_bytes += other.alloc_bytes;
-}
-
-StageObserver::~StageObserver() = default;
-
-void SetStageObserver(StageObserver* observer) {
-  g_observer.store(observer, std::memory_order_release);
-}
-
-StageObserver* GetStageObserver() {
-  return g_observer.load(std::memory_order_acquire);
-}
-
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void Enable() { g_enabled.store(true, std::memory_order_relaxed); }
@@ -296,18 +272,12 @@ double WallSeconds() {
 }
 
 void AddSample(const char* stage, double seconds) {
-  AddSampleWithExtras(stage, seconds, nullptr);
-}
-
-void AddSampleWithExtras(const char* stage, double seconds,
-                         const StageExtras* extras) {
   MutexLock lock(ProfileMu());
   StageStat& stat = Stages()[stage];
   if (stat.count == 0 || seconds < stat.min_s) stat.min_s = seconds;
   if (stat.count == 0 || seconds > stat.max_s) stat.max_s = seconds;
   ++stat.count;
   stat.total_s += seconds;
-  if (extras != nullptr) stat.extras.Merge(*extras);
 }
 
 std::vector<StageReport> Snapshot() {
@@ -321,7 +291,6 @@ std::vector<StageReport> Snapshot() {
     report.total_s = stat.total_s;
     report.min_s = stat.min_s;
     report.max_s = stat.max_s;
-    report.extras = stat.extras;
     reports.push_back(std::move(report));
   }
   return reports;  // std::map iteration: already sorted by stage
@@ -333,23 +302,11 @@ void ResetForTest() {
 }
 
 ScopedTimer::ScopedTimer(const char* stage)
-    : stage_(stage), start_(Enabled() ? WallSeconds() : -1.0) {
-  if (start_ >= 0.0) {
-    observer_ = GetStageObserver();
-    if (observer_ != nullptr) token_ = observer_->BeginSpan();
-  }
-}
+    : stage_(stage), start_(Enabled() ? WallSeconds() : -1.0) {}
 
 ScopedTimer::~ScopedTimer() {
   if (start_ < 0.0) return;
-  const double seconds = WallSeconds() - start_;
-  if (observer_ != nullptr) {
-    StageExtras extras;
-    observer_->EndSpan(token_, &extras);
-    AddSampleWithExtras(stage_, seconds, &extras);
-  } else {
-    AddSample(stage_, seconds);
-  }
+  AddSample(stage_, WallSeconds() - start_);
 }
 
 namespace {
@@ -357,30 +314,12 @@ namespace {
 /// Shared stderr/JSON field list; `sep` is " " for stderr key=value lines
 /// and "," for JSON (where keys are quoted).
 void AppendStageFields(std::string* out, const StageStat& stat, bool json) {
-  const StageExtras& x = stat.extras;
   const char* q = json ? "\"" : "";
   const char* kv = json ? "\":" : "=";
   const char* sep = json ? "," : " ";
   AppendF(out, "%s%scount%s%lld%s%stotal_s%s%.6f%s%smin_s%s%.6f%s%smax_s%s%.6f",
           sep, q, kv, static_cast<long long>(stat.count), sep, q, kv,
           stat.total_s, sep, q, kv, stat.min_s, sep, q, kv, stat.max_s);
-  if (x.counter_spans > 0) {
-    AppendF(out,
-            "%s%scounter_spans%s%lld%s%scycles%s%lld%s%sinstructions%s%lld"
-            "%s%scache_misses%s%lld%s%sbranch_misses%s%lld"
-            "%s%stask_clock_s%s%.6f",
-            sep, q, kv, static_cast<long long>(x.counter_spans), sep, q, kv,
-            static_cast<long long>(x.cycles), sep, q, kv,
-            static_cast<long long>(x.instructions), sep, q, kv,
-            static_cast<long long>(x.cache_misses), sep, q, kv,
-            static_cast<long long>(x.branch_misses), sep, q, kv,
-            x.task_clock_s);
-  }
-  if (x.alloc_spans > 0) {
-    AppendF(out, "%s%salloc_count%s%lld%s%salloc_bytes%s%lld", sep, q, kv,
-            static_cast<long long>(x.alloc_count), sep, q, kv,
-            static_cast<long long>(x.alloc_bytes));
-  }
 }
 
 }  // namespace

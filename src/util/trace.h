@@ -196,47 +196,6 @@ namespace prof {
 bool Enabled();
 void Enable();
 
-/// Optional per-span measurements beyond wall clock, charged to the span's
-/// stage by an installed StageObserver (src/perf/stage_collector.h): deltas
-/// of hardware counters (perf_event_open) and of the allocation hooks
-/// (WSNQ_PERF_ALLOC). Spans without an observer — or on kernels where the
-/// counters are denied — simply carry counter_spans == alloc_spans == 0;
-/// wall-clock-only profiling is the unchanged base case, not an error.
-struct StageExtras {
-  /// Spans that contributed hardware-counter deltas (0: wall-clock only).
-  int64_t counter_spans = 0;
-  int64_t cycles = 0;
-  int64_t instructions = 0;
-  int64_t cache_misses = 0;
-  int64_t branch_misses = 0;
-  double task_clock_s = 0.0;
-  /// Spans that contributed allocation deltas (0: hooks compiled out).
-  int64_t alloc_spans = 0;
-  int64_t alloc_count = 0;
-  int64_t alloc_bytes = 0;
-
-  void Merge(const StageExtras& other);
-  bool empty() const { return counter_spans == 0 && alloc_spans == 0; }
-};
-
-/// Attaches extra measurements to profile spans. BeginSpan() snapshots
-/// whatever the observer measures on the calling thread and returns an
-/// opaque token; EndSpan() consumes the token and writes the deltas.
-/// Begin/End always pair on one thread (ScopedTimer is RAII), and nested
-/// spans end in LIFO order.
-class StageObserver {
- public:
-  virtual ~StageObserver();
-  virtual uint64_t BeginSpan() = 0;
-  virtual void EndSpan(uint64_t token, StageExtras* extras) = 0;
-};
-
-/// Installs the process-wide span observer (nullptr to detach). Install
-/// before timed work starts (bench/tool setup); the pointer must outlive
-/// every span begun while it was installed.
-void SetStageObserver(StageObserver* observer);
-StageObserver* GetStageObserver();
-
 /// Monotonic wall clock [seconds]. The implementation (trace.cc) and the
 /// thread pool are the only places allowed to touch a raw clock
 /// (wsnq-lint rule `raw-clock`); everything else times through this.
@@ -244,10 +203,6 @@ double WallSeconds();
 
 /// Adds one completed span to the process-wide profile (thread-safe).
 void AddSample(const char* stage, double seconds);
-
-/// AddSample plus the span's extra measurements (may be nullptr).
-void AddSampleWithExtras(const char* stage, double seconds,
-                         const StageExtras* extras);
 
 /// One stage's accumulated profile, as returned by Snapshot().
 struct StageReport {
@@ -258,7 +213,6 @@ struct StageReport {
   /// bimodal ones that a bare total would average away.
   double min_s = 0.0;
   double max_s = 0.0;
-  StageExtras extras;
 };
 
 /// Copies the accumulated profile, sorted by stage name (thread-safe).
@@ -279,13 +233,10 @@ class ScopedTimer {
  private:
   const char* stage_;
   double start_;
-  StageObserver* observer_ = nullptr;
-  uint64_t token_ = 0;
 };
 
 /// Writes "# profile stage=... count=... total_s=... min_s=... max_s=..."
-/// lines to stderr — plus counter/alloc fields for stages whose spans
-/// carried them — (stderr keeps deterministic stdout byte-identical).
+/// lines to stderr (stderr keeps deterministic stdout byte-identical).
 /// No-op when nothing was sampled.
 void ReportToStderr();
 

@@ -1,12 +1,12 @@
 // wsnq-analyzer corpus: layering — core sits above algo/sketch/data/fault
 // in the DAG and may never reach into bench (or tests/tools/examples).
-// The measurement layer is also off-limits: simulation results must not
-// depend on how they are measured, so only bench/tests/tools may include
-// perf/. NOT compiled.
+// The model checker is also off-limits: it sits on top of the stack it
+// checks, so core including mc/ would let the checker shape what it
+// observes. NOT compiled.
 
 #include "bench/bench_common.h"  // expect-diag: layering
 #include "core/config.h"
-#include "perf/counters.h"  // expect-diag: layering
+#include "mc/mc.h"  // expect-diag: layering
 #include "util/status.h"
 
 namespace corpus {

@@ -1,9 +1,8 @@
 // wsnq-analyzer corpus: ban-perf-syscall — hardware-counter plumbing
-// (perf_event_open, raw syscall(), the perf_event_attr struct) is only
-// sanctioned under src/perf/; anywhere else it bypasses the EPERM
-// fallback and per-stage attribution of perf::CounterSet. The alias leg
-// pins what the AST tier adds over the lint regex: a typedef'd attr
-// struct is caught with no banned spelling at the use site. NOT compiled.
+// (perf_event_open, raw syscall(), the perf_event_attr struct) is banned
+// tree-wide; profiles are wall clock only. The alias leg pins what the
+// AST tier adds over the lint regex: a typedef'd attr struct is caught
+// with no banned spelling at the use site. NOT compiled.
 
 namespace corpus {
 

@@ -1,7 +1,6 @@
 // wsnq-analyzer corpus: layering negatives — serve sits on top of the
 // simulation stack and may include core/algo/sketch/data/fault/net/util
-// (and perf for observation) plus itself, with no diagnostics. NOT
-// compiled.
+// plus itself, with no diagnostics. NOT compiled.
 
 #include "algo/multi_quantile.h"
 #include "core/scenario.h"

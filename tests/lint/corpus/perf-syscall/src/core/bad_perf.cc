@@ -1,5 +1,5 @@
-// wsnq-lint corpus: perf-syscall. Counter plumbing outside src/perf/
-// bypasses the EPERM fallback and per-stage attribution. NOT compiled.
+// wsnq-lint corpus: perf-syscall. Hardware-counter plumbing is banned
+// tree-wide; profiles are wall clock only. NOT compiled.
 
 #include <linux/perf_event.h>  // lint-expect: perf-syscall
 

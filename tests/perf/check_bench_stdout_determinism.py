@@ -1,22 +1,12 @@
 #!/usr/bin/env python3
 """Pins the bench pipeline's core invariant: a bench binary's stdout is
-byte-identical whether or not the observability machinery is engaged
-(ctest leg bench_stdout_determinism_test).
+byte-identical whether or not profiling is on (ctest leg
+bench_stdout_determinism_test).
 
 Runs the given bench binary (argv[1], e.g. build/bench/fig6_vary_n) at a
-reduced scale four ways —
-
-  1. plain (the historical single-shot invocation),
-  2. --profile (stage profile + perf::StageCollector installed),
-  3. --reps=3 --warmup=1 (repetition harness engaged),
-  4. --profile --reps=3 --warmup=1 (everything at once)
-
-— and fails unless all four stdouts are byte-identical. Every harness,
-counter, and allocation artifact must ride on stderr or in the --profile
-JSON; a byte of drift on stdout means a figure reproduction would depend
-on how it was measured. The same invariant holds for a WSNQ_PERF_ALLOC=ON
-build (the perf-alloc CMake preset), where this leg runs with the hooks
-compiled in.
+reduced scale plain and with --profile, and fails unless both stdouts are
+byte-identical. The profile must ride on stderr; a byte of drift on stdout
+means a figure reproduction would depend on how it was measured.
 """
 
 import os
@@ -40,28 +30,15 @@ def main():
         print("usage: check_bench_stdout_determinism.py BENCH_BINARY",
               file=sys.stderr)
         return 2
-    binary = sys.argv[1]
-    variants = [
-        ("plain", run(binary)),
-        ("--profile", run(binary, "--profile")),
-        ("--reps=3 --warmup=1", run(binary, "--reps=3", "--warmup=1")),
-        ("--profile --reps=3 --warmup=1",
-         run(binary, "--profile", "--reps=3", "--warmup=1")),
-    ]
-    reference_name, reference = variants[0]
-    code = 0
-    for name, stdout in variants[1:]:
-        if stdout != reference:
-            print(f"stdout of '{name}' differs from '{reference_name}' "
-                  f"({len(stdout)} vs {len(reference)} bytes)",
-                  file=sys.stderr)
-            code = 1
-        else:
-            print(f"ok   {name}: stdout byte-identical "
-                  f"({len(stdout)} bytes)")
-    if code == 0:
-        print("bench stdout determinism: all variants byte-identical")
-    return code
+    plain = run(sys.argv[1])
+    profiled = run(sys.argv[1], "--profile")
+    if profiled != plain:
+        print(f"stdout of '--profile' differs from 'plain' "
+              f"({len(profiled)} vs {len(plain)} bytes)", file=sys.stderr)
+        return 1
+    print(f"bench stdout determinism: '--profile' stdout byte-identical "
+          f"({len(plain)} bytes)")
+    return 0
 
 
 if __name__ == "__main__":

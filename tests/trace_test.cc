@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -213,6 +214,20 @@ TEST(ProfTest, WallClockAndSamples) {
   const std::string json(buf, n);
   EXPECT_NE(json.find("test/stage"), std::string::npos);
   EXPECT_NE(json.find("test/timer"), std::string::npos);
+}
+
+TEST(ProfSnapshotTest, TracksPerStageMinAndMax) {
+  prof::ResetForTest();
+  prof::AddSample("test/minmax", 0.25);
+  prof::AddSample("test/minmax", 0.5);
+  prof::AddSample("test/minmax", 0.125);
+  const std::vector<prof::StageReport> reports = prof::Snapshot();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].stage, "test/minmax");
+  EXPECT_EQ(reports[0].count, 3);
+  EXPECT_DOUBLE_EQ(reports[0].total_s, 0.875);
+  EXPECT_DOUBLE_EQ(reports[0].min_s, 0.125);
+  EXPECT_DOUBLE_EQ(reports[0].max_s, 0.5);
 }
 
 TEST(MetricsRegistryTest, CountersGaugesHistograms) {

@@ -22,9 +22,9 @@ Rules
                    the deterministic fan-out/ordered-fold discipline.
                    (std::thread::id and std::this_thread are fine.)
   ban-perf-syscall No perf_event_open / raw syscall() / perf_event_attr
-                   outside src/perf/ — the sole sanctioned home of
-                   hardware-counter plumbing (perf/counters.h), so the
-                   EPERM fallback and per-stage attribution stay uniform.
+                   anywhere. Profiles are wall clock only; hardware
+                   counters are denied on common hosts (EPERM) and would
+                   make a profile depend on the kernel it ran under.
   unordered-iter   No iteration over std::unordered_map/unordered_set in
                    fold/aggregate/report/export/serialize paths — the
                    iteration order is implementation-defined, so anything
@@ -41,11 +41,10 @@ Rules
                    on the subtree partition.
   layering         First-party includes must respect the layer DAG
                    util <- net <- {data,fault} <- {algo,sketch} <- core
-                   <- {tests,tools,bench,examples}; perf sits beside the
-                   stack on util only (nothing under src/ may include
-                   perf/ back — measurement must observe, never shape,
-                   the simulation). A core -> bench or net -> core
-                   include is an error.
+                   <- {tests,tools,bench,examples}; mc and serve sit on
+                   top of core (nothing under src/ may include them
+                   back). A core -> bench or net -> core include is an
+                   error.
   bad-suppression  A `wsnq-analyzer: allow(...)` comment naming an unknown
                    rule or carrying no justification.
 
@@ -83,7 +82,7 @@ RULES = {
     "ban-clock": "raw clock read outside the sanctioned timing sites",
     "ban-seq-rng": "sequential RNG outside util/rng",
     "ban-raw-thread": "raw thread/async outside util/thread_pool",
-    "ban-perf-syscall": "perf_event_open / raw syscall outside src/perf",
+    "ban-perf-syscall": "perf_event_open / raw syscall anywhere",
     "unordered-iter": "unordered-container iteration in an output path",
     "fp-reduction": "order-sensitive FP reduction over unordered iteration",
     "layering": "include edge violates the layer DAG",
@@ -103,7 +102,6 @@ SANCTIONED = {
     "ban-clock": ("src/util/trace.cc", "src/util/thread_pool.cc", "bench/"),
     "ban-seq-rng": ("src/util/rng.h", "src/util/rng.cc"),
     "ban-raw-thread": ("src/util/thread_pool.h", "src/util/thread_pool.cc"),
-    "ban-perf-syscall": ("src/perf/",),
 }
 
 # Banned callees/types as ::-segment tuples, matched segment-for-segment
@@ -124,9 +122,8 @@ BAN_CALL_EXACT = {
     "ban-raw-thread": {
         ("pthread_create",), ("std", "async"),
     },
-    # `syscall` itself is banned: the only legitimate raw syscall in this
-    # tree is perf_event_open's (no glibc wrapper exists), and that lives
-    # in src/perf/counters.cc.
+    # `syscall` itself is banned: perf_event_open has no glibc wrapper, so
+    # a raw syscall() is how counter plumbing would sneak back in.
     "ban-perf-syscall": {
         ("perf_event_open",), ("syscall",),
     },
@@ -160,23 +157,16 @@ BAN_MESSAGES = {
     "ban-raw-thread": "raw thread primitive; use wsnq::ThreadPool "
                       "(util/thread_pool.h) — ad-hoc threads bypass the "
                       "deterministic fan-out/ordered-fold discipline",
-    "ban-perf-syscall": "hardware-counter plumbing outside src/perf/; go "
-                        "through perf::CounterSet (perf/counters.h) so the "
-                        "EPERM fallback and per-stage attribution stay "
-                        "uniform",
+    "ban-perf-syscall": "hardware-counter plumbing; time through "
+                        "prof::ScopedTimer (util/trace.h) and measure with "
+                        "benchmark/run.py",
 }
 
 # Layer DAG: which first-party include layers each source layer may use.
-SRC_LAYERS = ("util", "perf", "net", "data", "fault", "sketch", "algo",
-              "core", "mc", "serve")
+SRC_LAYERS = ("util", "net", "data", "fault", "sketch", "algo", "core",
+              "mc", "serve")
 LAYER_ALLOWED: Dict[str, Set[str]] = {
     "util": {"util"},
-    # The measurement layer sits beside the stack: it observes through the
-    # prof::StageObserver seam in util/trace.h, and nothing under src/
-    # may include perf/ back (simulation results must not depend on how
-    # they are measured). bench/tests/tools reach it via the top-level
-    # rule below.
-    "perf": {"perf", "util"},
     "net": {"net", "util"},
     "data": {"data", "net", "util"},
     "fault": {"fault", "net", "util"},
@@ -195,7 +185,7 @@ LAYER_ALLOWED: Dict[str, Set[str]] = {
     # transport-free; sockets are a serve-only concern, see the
     # serve-syscall lint rule).
     "serve": {"serve", "core", "algo", "sketch", "data", "fault", "net",
-              "util", "perf"},
+              "util"},
 }
 for _top in ("tests", "tools", "bench", "examples"):
     LAYER_ALLOWED[_top] = set(SRC_LAYERS) | {_top}

@@ -9,8 +9,8 @@
 //     push of its round, i.e. the fan-out skew across the population —
 //   * sustained pushes/sec over the observation window.
 //
-// Output is one "# loadgen key=value ..." line (bench_snapshot.py parses
-// it into the serve section of the benchmark snapshot). Exit 0 only if
+// Output is one "# loadgen key=value ..." line (tests/serve/
+// run_serve_smoke.py parses it). Exit 0 only if
 // every subscription was acked and every observed round delivered every
 // push with zero protocol errors.
 //

@@ -51,7 +51,6 @@
 #include "core/scenario.h"
 #include "core/simulation.h"
 #include "fault/fault_cli.h"
-#include "perf/stage_collector.h"
 #include "util/flags.h"
 #include "util/mutex.h"
 #include "util/trace.h"
@@ -234,11 +233,6 @@ int main(int argc, char** argv) {
 
   if (!profile_path.empty()) {
     prof::Enable();
-    // Attach hardware-counter / allocation accounting to the prof:: spans
-    // (src/perf/stage_collector.h); the status line reports whether this
-    // host grants perf_event_open. Stderr only — stdout stays
-    // deterministic.
-    std::fprintf(stderr, "%s\n", perf::InstallStageCollector().c_str());
   }
   if (!trace_path.empty()) {
     if (!trace::CompiledIn()) {
