@@ -31,18 +31,23 @@ void MultiIqProtocol::Initialize(Network* net,
   net->FloodFromRoot(wire_.counter_bits);
   const std::vector<int64_t> collected =
       CollectKSmallest(net, values, ks_.back(), wire_, &ws_);
-  WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), ks_.back());
+  if (!net->lossy()) {
+    WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), ks_.back());
+  }
   for (RankState& state : states_) {
-    state.filter = collected[static_cast<size_t>(state.k - 1)];
+    state.filter =
+        BestEffortKth(collected, state.k, (range_min_ + range_max_) / 2);
     state.counts =
         CountsFromCollection(collected, state.filter, net->num_sensors());
     int64_t xi = 1;
-    if (state.k >= 2) {
+    const int64_t known =
+        std::min(state.k, static_cast<int64_t>(collected.size()));
+    if (known >= 2) {
       const double spread = static_cast<double>(
-          collected[static_cast<size_t>(state.k - 1)] - collected[0]);
+          collected[static_cast<size_t>(known - 1)] - collected[0]);
       xi = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
-                 options_.init_c * spread / static_cast<double>(state.k))));
+                 options_.init_c * spread / static_cast<double>(known))));
     }
     state.xi_l = -xi;
     state.xi_r = xi;
@@ -315,8 +320,13 @@ int64_t MultiIqProtocol::ResolveRank(Network* net,
     const std::vector<int64_t> r = TopFConvergecast(
         net, values, lo, hi, f1, /*largest=*/true, wire_, &ws_);
     ++refinements_;
-    WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f1);
-    const int64_t q = r[r.size() - static_cast<size_t>(f1)];
+    if (!net->lossy()) {
+      WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f1);
+    }
+    // Under loss the response can come back short: clamp the rank into
+    // it, or keep the filter when nothing arrived at all.
+    const size_t take = std::min(r.size(), static_cast<size_t>(f1));
+    const int64_t q = r.empty() ? v_old : r[r.size() - take];
     const int64_t below_window = counts.l - a_below;
     counts.e = std::count(r.begin(), r.end(), q);
     counts.l = below_window -
@@ -357,8 +367,11 @@ int64_t MultiIqProtocol::ResolveRank(Network* net,
   const std::vector<int64_t> r = TopFConvergecast(
       net, values, lo, hi, f2, /*largest=*/false, wire_, &ws_);
   ++refinements_;
-  WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f2);
-  const int64_t q = r[static_cast<size_t>(f2 - 1)];
+  if (!net->lossy()) {
+    WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f2);
+  }
+  const size_t take = std::min(r.size(), static_cast<size_t>(f2));
+  const int64_t q = r.empty() ? v_old : r[take - 1];
   const int64_t below_region = counts.l + counts.e + a_above;
   counts.e = std::count(r.begin(), r.end(), q);
   counts.l = below_region + std::count_if(r.begin(), r.end(),

@@ -80,8 +80,8 @@ class QDigest {
   // digest, so iteration order must not depend on a hash function.
   // (Compress's *outcome* is provably order-independent — sibling merges
   // are symmetric and parents are processed in a later level pass — but
-  // std::map makes the guarantee structural instead of argued; wsnq-
-  // analyzer rule `unordered-iter` pins it.)
+  // std::map makes the guarantee structural instead of argued; wsnq-lint
+  // rule `unordered-iter` pins it.)
   std::map<int64_t, int64_t> nodes_;
 };
 

@@ -1,5 +1,5 @@
 // Clang thread-safety-analysis attribute macros (docs/hardening.md,
-// "Static analysis: thread-safety annotations & wsnq-analyzer").
+// "Static analysis", "Thread-safety annotations").
 //
 // These annotations make the repo's locking and phase contracts visible to
 // clang's -Wthread-safety analysis: every mutex-protected member names its

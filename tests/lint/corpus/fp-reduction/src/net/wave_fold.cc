@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: the partial-wave fold path (net/wave.h) is an
+// wsnq-lint corpus: the partial-wave fold path (net/wave.h) is an
 // output path. Part replays and fold-vertex processing feed Network
 // accounting directly — every energy debit and packet counter is emitted
 // in the order the code walks its containers — so hash-order iteration or
@@ -17,8 +17,8 @@ std::unordered_map<int, double> g_subtree_energy;
 // different sequence every run.
 double ReplayWaveSends() {
   double debited = 0.0;
-  for (const auto& kv : g_subtree_energy) {  // expect-diag: unordered-iter
-    debited += kv.second;  // expect-diag: fp-reduction
+  for (const auto& kv : g_subtree_energy) {  // lint-expect: unordered-iter
+    debited += kv.second;  // lint-expect: fp-reduction
   }
   return debited;
 }
@@ -27,7 +27,7 @@ double ReplayWaveSends() {
 // integer walk leaks hash order into whichever vertex is folded last.
 int DrainConvergecastSteps() {
   int last = 0;
-  for (const auto& kv : g_subtree_energy) {  // expect-diag: unordered-iter
+  for (const auto& kv : g_subtree_energy) {  // lint-expect: unordered-iter
     last = kv.first;
   }
   return last;

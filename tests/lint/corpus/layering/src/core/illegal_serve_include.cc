@@ -1,11 +1,11 @@
-// wsnq-analyzer corpus: layering — nothing under src/ may include serve/
+// wsnq-lint corpus: layering — nothing under src/ may include serve/
 // back. The simulation core must stay transport-free: a core that knows
 // about subscriptions or sockets can no longer be embedded, checked, or
 // benchmarked without a daemon around it. NOT compiled.
 
 #include "core/config.h"
-#include "serve/broker.h"  // expect-diag: layering
-#include "serve/wire.h"  // expect-diag: layering
+#include "serve/broker.h"  // lint-expect: layering
+#include "serve/wire.h"  // lint-expect: layering
 #include "util/status.h"
 
 namespace corpus {

@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: layering negatives — mc may include every layer it
+// wsnq-lint corpus: layering negatives — mc may include every layer it
 // checks (core, algo, fault, net, util) plus itself, with no diagnostics.
 // NOT compiled.
 

@@ -1,7 +1,7 @@
-// wsnq-analyzer corpus: layering — net is below core; an upward include
+// wsnq-lint corpus: layering — net is below core; an upward include
 // inverts the DAG (util <- net <- ... <- core). NOT compiled.
 
-#include "core/experiment.h"  // expect-diag: layering
+#include "core/experiment.h"  // lint-expect: layering
 #include "net/geometry.h"
 
 namespace corpus {

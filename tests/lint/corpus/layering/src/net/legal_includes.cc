@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: layering negatives — net -> net, net -> util, and
+// wsnq-lint corpus: layering negatives — net -> net, net -> util, and
 // third-party includes are all legal and must produce no diagnostics.
 // NOT compiled.
 

@@ -1,9 +1,9 @@
-// wsnq-analyzer corpus: layering — serve drives the stack but is not a
+// wsnq-lint corpus: layering — serve drives the stack but is not a
 // verification layer: the model checker and the bench harness stay out of
 // the daemon. NOT compiled.
 
-#include "mc/mc.h"  // expect-diag: layering
-#include "bench/bench_common.h"  // expect-diag: layering
+#include "mc/mc.h"  // lint-expect: layering
+#include "bench/bench_common.h"  // lint-expect: layering
 #include "serve/broker.h"
 #include "util/status.h"
 

@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: layering negatives — serve sits on top of the
+// wsnq-lint corpus: layering negatives — serve sits on top of the
 // simulation stack and may include core/algo/sketch/data/fault/net/util
 // plus itself, with no diagnostics. NOT compiled.
 

@@ -10,6 +10,12 @@ int Draw() {
   return rand();  // lint-expect: raw-random
 }
 
-// Negatives: identifiers that merely contain the banned tokens.
+// Negatives: identifiers that merely contain the banned tokens, and a
+// banned name inside a block comment.
 int Brand() { return 0; }
 int strand_count = 0;
+
+int Quiet() {
+  /* std::mt19937 in a block comment */
+  return 0;
+}

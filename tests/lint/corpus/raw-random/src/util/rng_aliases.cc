@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: ban-seq-rng — sequential RNG types and calls,
+// wsnq-lint corpus: raw-random — sequential RNG types and calls,
 // including through type aliases; plus negatives where `rand` is a field
 // name and `Brand` merely contains the substring. NOT compiled.
 
@@ -7,20 +7,20 @@
 
 namespace corpus {
 
-using Gen = std::mt19937;  // expect-diag: ban-seq-rng
+using Gen = std::mt19937;  // lint-expect: raw-random
 
 int AliasedEngine() {
-  Gen gen(42);  // expect-diag: ban-seq-rng
+  Gen gen(42);  // lint-expect: raw-random
   return static_cast<int>(gen());
 }
 
 int EntropySource() {
-  std::random_device entropy;  // expect-diag: ban-seq-rng
+  std::random_device entropy;  // lint-expect: raw-random
   return static_cast<int>(entropy());
 }
 
 int LibcRand() {
-  return rand();  // expect-diag: ban-seq-rng
+  return rand();  // lint-expect: raw-random
 }
 
 // Negatives: a field *named* rand is not a call of ::rand(), and Brand()

@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: ban-raw-thread — std::thread spelled directly,
+// wsnq-lint corpus: raw-thread — std::thread spelled directly,
 // through a namespace alias, and as pthread_create; negatives for
 // std::thread::id / std::this_thread (observing threads is fine, only
 // spawning them is banned). NOT compiled.
@@ -15,23 +15,23 @@ namespace stdlib = std;
 void* Body(void*) { return nullptr; }
 
 void SpawnDirect() {
-  std::thread worker(Body, nullptr);  // expect-diag: ban-raw-thread
+  std::thread worker(Body, nullptr);  // lint-expect: raw-thread
   worker.join();
 }
 
 void SpawnViaNamespaceAlias() {
-  stdlib::thread worker(Body, nullptr);  // expect-diag: ban-raw-thread
+  stdlib::thread worker(Body, nullptr);  // lint-expect: raw-thread
   worker.join();
 }
 
 void SpawnPosix() {
   pthread_t tid;
-  pthread_create(&tid, nullptr, Body, nullptr);  // expect-diag: ban-raw-thread
+  pthread_create(&tid, nullptr, Body, nullptr);  // lint-expect: raw-thread
   pthread_join(tid, nullptr);
 }
 
 int SpawnAsync() {
-  auto f = std::async(Body, nullptr);  // expect-diag: ban-raw-thread
+  auto f = std::async(Body, nullptr);  // lint-expect: raw-thread
   return 0;
 }
 

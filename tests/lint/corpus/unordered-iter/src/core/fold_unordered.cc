@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: unordered-iter fires when hash order can reach
+// wsnq-lint corpus: unordered-iter fires when hash order can reach
 // output (fold/aggregate/report/export/serialize contexts) and stays
 // quiet for lookups and non-output iteration; fp-reduction fires on
 // floating-point accumulation in hash order regardless of context.
@@ -15,8 +15,8 @@ using NodeIndex = std::unordered_map<int, int>;
 
 double FoldTotals() {
   double sum = 0.0;
-  for (const auto& kv : g_totals) {  // expect-diag: unordered-iter
-    sum += kv.second;  // expect-diag: fp-reduction
+  for (const auto& kv : g_totals) {  // lint-expect: unordered-iter
+    sum += kv.second;  // lint-expect: fp-reduction
   }
   return sum;
 }
@@ -26,7 +26,7 @@ double FoldTotals() {
 double AccumulateAnywhere() {
   double acc = 0.0;
   for (const auto& kv : g_totals) {
-    acc += kv.second;  // expect-diag: fp-reduction
+    acc += kv.second;  // lint-expect: fp-reduction
   }
   return acc;
 }
@@ -37,7 +37,7 @@ class Exporter {
   // connect NodeIndex -> unordered_map.
   int ExportCount() {
     int last = 0;
-    for (const auto& kv : index_) {  // expect-diag: unordered-iter
+    for (const auto& kv : index_) {  // lint-expect: unordered-iter
       last = kv.second;
     }
     return last;

@@ -1,4 +1,4 @@
-// wsnq-analyzer corpus: unordered_set iteration in export/write paths —
+// wsnq-lint corpus: unordered_set iteration in export/write paths —
 // both range-for and explicit iterator walks — plus the tools -> core
 // include edge, which the DAG allows. NOT compiled.
 
@@ -14,14 +14,14 @@ std::unordered_set<std::string> g_names;
 
 int ExportNames() {
   int n = 0;
-  for (const auto& name : g_names) {  // expect-diag: unordered-iter
+  for (const auto& name : g_names) {  // lint-expect: unordered-iter
     n += static_cast<int>(name.size());
   }
   return n;
 }
 
 void WriteNames() {
-  for (auto it = g_names.begin(); it != g_names.end(); ++it) {  // expect-diag: unordered-iter
+  for (auto it = g_names.begin(); it != g_names.end(); ++it) {  // lint-expect: unordered-iter
   }
 }
 

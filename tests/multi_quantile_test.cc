@@ -160,6 +160,7 @@ TEST(MultiIqTest, SharedConvergecastBeatsIndependentQueries) {
 // --- Accounting golden ----------------------------------------------------
 
 const char kAccountingGolden[] = "/golden/multi_iq_accounting.txt";
+constexpr int64_t kAccountingRounds = 60;
 
 /// One golden scenario: a network of 128 sensors, the tracked ranks, and
 /// what is installed on the network before round 0.
@@ -175,10 +176,10 @@ struct AccountingCase {
 /// Frame loss with a short stop-and-wait retry budget, so a few uplinks are
 /// lost outright (OnLost runs) and the per-rank filters drift apart.
 ///
-/// MultiIqProtocol has no best-effort fallbacks: at most loss settings its
-/// initial collection or a refinement comes back short and a CHECK aborts.
-/// These two settings run all rounds; they lose 11 and 2 uplinks and leave
-/// the filters out of rank order in some rounds.
+/// The two golden settings lose 11 and 2 uplinks and leave the filters out
+/// of rank order in some rounds, but never leave the initial collection or
+/// a refinement short, so the golden does not reach MultiIqProtocol's
+/// best-effort fallbacks. MultiIqLossTest.EverySweepRunFinishes does.
 FaultConfig ShortArq(double loss, int max_retx) {
   FaultConfig fault;
   fault.loss = loss;
@@ -190,7 +191,6 @@ FaultConfig ShortArq(double loss, int max_retx) {
 /// Runs `c` over a drifting value script and appends one line per round.
 void AppendAccounting(const AccountingCase& c, std::string* out) {
   constexpr int kSensors = 128;
-  constexpr int64_t kRounds = 60;
   Network net = MakeRandomNetwork(kSensors, 91);
   if (c.fault.enabled()) {
     net.set_transport_policy(std::make_unique<FaultPlan>(
@@ -204,7 +204,7 @@ void AppendAccounting(const AccountingCase& c, std::string* out) {
   for (int v = 1; v < net.num_vertices(); ++v) {
     values[static_cast<size_t>(v)] = rng.UniformInt(1500, 2500);
   }
-  for (int64_t round = 0; round < kRounds; ++round) {
+  for (int64_t round = 0; round < kAccountingRounds; ++round) {
     net.BeginRound();
     protocol.RunRound(&net, values, round);
     double energy = 0.0;
@@ -239,15 +239,26 @@ std::string ReadGolden(const std::string& path) {
   return body;
 }
 
-TEST(MultiIqGoldenTest, AccountingMatchesFrozenFile) {
+/// Ranks 1..128: every rank of the 128-sensor accounting network.
+std::vector<int64_t> AllRanks() {
   std::vector<int64_t> all(128);
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i) + 1;
-  // A random quarter of the ranks, in increasing order.
+  return all;
+}
+
+/// A random quarter of AllRanks(), in increasing order.
+std::vector<int64_t> QuarterRanks() {
   std::vector<int64_t> quarter;
   Rng pick(17);
-  for (int64_t k : all) {
+  for (int64_t k : AllRanks()) {
     if (pick.UniformInt(0, 3) == 0) quarter.push_back(k);
   }
+  return quarter;
+}
+
+TEST(MultiIqGoldenTest, AccountingMatchesFrozenFile) {
+  const std::vector<int64_t> all = AllRanks();
+  const std::vector<int64_t> quarter = QuarterRanks();
   const std::vector<AccountingCase> cases = {
       {"dense", all, FaultConfig{}, 0, false},
       {"quarter", quarter, FaultConfig{}, 0, false},
@@ -271,6 +282,28 @@ TEST(MultiIqGoldenTest, AccountingMatchesFrozenFile) {
   ASSERT_FALSE(expected.empty())
       << "cannot read " << path << "; regenerate with WSNQ_UPDATE_GOLDEN=1";
   EXPECT_EQ(actual, expected);
+}
+
+// Loss that leaves the initial collection or a refinement short must fall
+// back like IQ does (best-effort k-th, the rank clamped into a short
+// response, the filter kept when nothing arrived) instead of aborting:
+// every run of the sweep finishes all its rounds.
+TEST(MultiIqLossTest, EverySweepRunFinishes) {
+  const std::vector<int64_t> quarter = QuarterRanks();
+  for (double loss : {0.05, 0.1, 0.2}) {
+    for (int max_retx : {0, 1, 2}) {
+      for (uint64_t seed = 1; seed <= 5; ++seed) {
+        std::string lines;
+        AppendAccounting(
+            {"sweep", quarter, ShortArq(loss, max_retx), seed, false},
+            &lines);
+        EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'),
+                  kAccountingRounds)
+            << "loss=" << loss << " max_retx=" << max_retx
+            << " seed=" << seed;
+      }
+    }
+  }
 }
 
 }  // namespace
