@@ -212,7 +212,10 @@ std::vector<int64_t> TopFConvergecast(Network* net,
   TopFOps ops{net, values, lo, hi, f, largest, wire, inbox};
   RunConvergecastWave(net, ops);
   std::vector<int64_t> result = inbox[static_cast<size_t>(net->root())];
-  std::sort(result.begin(), result.end());
+  // The wave already ordered the root's row most-extreme-first (lost
+  // subtrees only drop whole rows), so ascending order is a reversal away.
+  if (largest) std::reverse(result.begin(), result.end());
+  WSNQ_DCHECK(std::is_sorted(result.begin(), result.end()));
   return result;
 }
 

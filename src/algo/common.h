@@ -172,15 +172,23 @@ class WaveWorkspace {
 };
 
 /// Merges sorted `child` into sorted `mine` (ordered by `cmp`) through
-/// `scratch`, leaving `child` empty with its capacity retained for
-/// workspace reuse. Equal values keep their relative grouping, so the
-/// result is the same sequence a concatenate-then-sort would produce.
+/// `scratch`, leaving `child` empty. Equal values keep their relative
+/// grouping, so the result is the same sequence a concatenate-then-sort
+/// would produce.
+///
+/// Ownership rule: every buffer stays with its owner. The result is copied
+/// into `mine`'s own buffer, never swapped in from `child` or `scratch`, so
+/// each workspace row's capacity tracks the largest list that vertex itself
+/// has held. A swap would hand a buffer sized for one vertex's list to
+/// another vertex every wave, and total row capacity would ratchet up round
+/// after round (233 MB of empty TAG rows after 101 rounds at n = 65,536).
 template <typename Cmp>
 void MergeSortedInto(std::vector<int64_t>* mine, std::vector<int64_t>* child,
                      std::vector<int64_t>* scratch, Cmp cmp) {
   if (child->empty()) return;
   if (mine->empty()) {
-    mine->swap(*child);
+    mine->assign(child->begin(), child->end());
+    child->clear();
     return;
   }
   // A handful of child elements binary-insert cheaper than rewriting all of
@@ -198,7 +206,7 @@ void MergeSortedInto(std::vector<int64_t>* mine, std::vector<int64_t>* child,
   scratch->reserve(mine->size() + child->size());
   std::merge(mine->begin(), mine->end(), child->begin(), child->end(),
              std::back_inserter(*scratch), cmp);
-  mine->swap(*scratch);
+  mine->assign(scratch->begin(), scratch->end());
   child->clear();
 }
 

@@ -98,13 +98,11 @@ struct WindowValidationOps {
     }
     for (int child : net->tree().children[static_cast<size_t>(v)]) {
       agg.Merge(inbox[static_cast<size_t>(child)]);
+      // Appended into this row's own buffer (an empty a_set included):
+      // rows never trade buffers, see MergeSortedInto.
       auto& theirs = a_inbox[static_cast<size_t>(child)];
-      if (a_set.empty()) {
-        a_set.swap(theirs);
-      } else {
-        a_set.insert(a_set.end(), theirs.begin(), theirs.end());
-        theirs.clear();
-      }
+      a_set.insert(a_set.end(), theirs.begin(), theirs.end());
+      theirs.clear();
     }
     WaveSend send;
     if (!agg.empty() || !a_set.empty()) {

@@ -150,8 +150,11 @@ void LcllProtocol::Validate(Network* net,
         std::vector<std::pair<int, int64_t>>& theirs =
             inbox[static_cast<size_t>(child)];
         if (theirs.empty()) continue;
+        // Copied into this row's own buffer, never swapped: rows keep their
+        // own capacity (see MergeSortedInto).
         if (deltas.empty()) {
-          deltas.swap(theirs);
+          deltas.assign(theirs.begin(), theirs.end());
+          theirs.clear();
           continue;
         }
         std::vector<std::pair<int, int64_t>>& merged = lane.pair_scratch;
@@ -173,7 +176,7 @@ void LcllProtocol::Validate(Network* net,
         }
         merged.insert(merged.end(), deltas.begin() + a, deltas.end());
         merged.insert(merged.end(), theirs.begin() + b, theirs.end());
-        deltas.swap(merged);
+        deltas.assign(merged.begin(), merged.end());
         theirs.clear();
       }
       WaveSend send;

@@ -17,24 +17,23 @@ int64_t OracleKth(const std::vector<int64_t>& sensor_values, int64_t k) {
 RootCounts OracleCounts(const std::vector<int64_t>& sensor_values,
                         int64_t threshold) {
   RootCounts counts;
-  for (int64_t v : sensor_values) {
-    if (v < threshold) {
-      ++counts.l;
-    } else if (v == threshold) {
-      ++counts.e;
-    } else {
-      ++counts.g;
-    }
+  for (const int64_t v : sensor_values) {
+    counts.l += v < threshold;
+    counts.e += v == threshold;
   }
+  counts.g = static_cast<int64_t>(sensor_values.size()) - counts.l - counts.e;
   return counts;
+}
+
+int64_t OracleRankErrorFromCounts(const RootCounts& counts, int64_t k) {
+  if (k <= counts.l) return counts.l + 1 - k;  // reported sits too high
+  if (k > counts.l + counts.e) return k - (counts.l + counts.e);  // too low
+  return 0;
 }
 
 int64_t OracleRankError(const std::vector<int64_t>& sensor_values,
                         int64_t reported, int64_t k) {
-  const RootCounts counts = OracleCounts(sensor_values, reported);
-  if (k <= counts.l) return counts.l + 1 - k;  // reported sits too high
-  if (k > counts.l + counts.e) return k - (counts.l + counts.e);  // too low
-  return 0;
+  return OracleRankErrorFromCounts(OracleCounts(sensor_values, reported), k);
 }
 
 int64_t OracleKthSorted(const std::vector<int64_t>& sorted_sensor_values,
@@ -52,11 +51,11 @@ int64_t OracleRankErrorSorted(
   const auto lo = std::lower_bound(sorted_sensor_values.begin(),
                                    sorted_sensor_values.end(), reported);
   const auto hi = std::upper_bound(lo, sorted_sensor_values.end(), reported);
-  const int64_t less = lo - sorted_sensor_values.begin();
-  const int64_t less_equal = hi - sorted_sensor_values.begin();
-  if (k <= less) return less + 1 - k;                // reported sits too high
-  if (k > less_equal) return k - less_equal;         // too low
-  return 0;
+  RootCounts counts;
+  counts.l = lo - sorted_sensor_values.begin();
+  counts.e = hi - lo;
+  counts.g = sorted_sensor_values.end() - hi;
+  return OracleRankErrorFromCounts(counts, k);
 }
 
 std::vector<int64_t> SensorValues(

@@ -89,9 +89,6 @@ Status ExecuteRun(const SimulationConfig& config,
   {
     prof::ScopedTimer timer("experiment/materialize_values");
     scenario.value().MaterializeValues(config.rounds + 1);
-    // One ascending sensor snapshot per round, shared by every factory's
-    // oracle check (core/simulation.cc reads it via SortedSensorsView).
-    if (config.check_oracle) scenario.value().MaterializeSortedSensors();
   }
   prof::ScopedTimer timer("experiment/run_protocols");
   for (size_t i = 0; i < factories.size(); ++i) {

@@ -92,16 +92,15 @@ struct Scenario {
   const std::vector<int64_t>& ValuesView(int64_t round) const;
 
   /// Precomputes, per materialized round, the ascending-sorted sensor
-  /// snapshot (root excluded): the ground-truth input of the oracle check,
-  /// shared by every protocol replay of the run. One sort per round here
-  /// replaces a copy + nth_element per (protocol, round) in RunSimulation;
-  /// the values are integers, so the sorted-order statistics are
-  /// bit-identical to the selection-based ones. Call after
-  /// MaterializeValues.
+  /// snapshot (root excluded). Call after MaterializeValues. Kept for the
+  /// benchmark's hand-written replay only (benchmark/sim_replay.cc): the
+  /// run loop's oracle check counts over the value row instead, so no
+  /// library path calls this. Deleted once that replay calls RunSweep
+  /// itself (ROADMAP.md, "Per-phase wall time from the real run loop").
   void MaterializeSortedSensors();
 
   /// Ascending-sorted sensor snapshot of `round`, or nullptr when not
-  /// materialized (callers fall back to SensorValues + OracleKth).
+  /// materialized. Benchmark replay only, like MaterializeSortedSensors.
   const std::vector<int64_t>* SortedSensorsView(int64_t round) const;
 
  private:

@@ -89,24 +89,19 @@ SimulationResult RunSimulation(const Scenario& scenario,
     record.values = net->round_values();
     record.refinements = protocol->refinements_last_round();
     if (check_oracle) {
-      // Sorted snapshot when ExecuteRun precomputed it (one sort per round
-      // shared by every protocol replay); otherwise the classic per-round
-      // copy + selection. Both paths produce identical statistics.
-      const std::vector<int64_t>* sorted = scenario.SortedSensorsView(round);
-      if (sorted != nullptr) {
-        record.correct =
-            protocol->quantile() == OracleKthSorted(*sorted, scenario.k);
-        if (!record.correct) ++result.errors;
-        record.rank_error = OracleRankErrorSorted(
-            *sorted, protocol->quantile(), scenario.k);
-      } else {
-        const std::vector<int64_t> sensors = SensorValues(*net, values);
-        record.correct =
-            protocol->quantile() == OracleKth(sensors, scenario.k);
-        if (!record.correct) ++result.errors;
-        record.rank_error =
-            OracleRankError(sensors, protocol->quantile(), scenario.k);
-      }
+      // One counting pass over the round's row: the reported value is the
+      // k-th smallest exactly when l < k <= l + e, i.e. when its rank error
+      // is 0. The row is vertex-indexed, so the root's own entry (it has no
+      // sensor) is taken back out of the counts.
+      const int64_t reported = protocol->quantile();
+      RootCounts counts = OracleCounts(values, reported);
+      const int64_t root_value = values[static_cast<size_t>(net->root())];
+      counts.l -= root_value < reported;
+      counts.e -= root_value == reported;
+      counts.g -= root_value > reported;
+      record.rank_error = OracleRankErrorFromCounts(counts, scenario.k);
+      record.correct = record.rank_error == 0;
+      if (!record.correct) ++result.errors;
       rank_error_sum += static_cast<double>(record.rank_error);
       result.max_rank_error =
           std::max(result.max_rank_error, record.rank_error);

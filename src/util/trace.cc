@@ -324,18 +324,42 @@ void AppendStageFields(std::string* out, const StageStat& stat, bool json) {
 
 }  // namespace
 
+double PeakRssMb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1.0;
+  double mb = -1.0;
+  char line[256];
+  long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lld kB", &kb) == 1) {
+      mb = static_cast<double>(kb) / 1024.0;
+      break;
+    }
+  }
+  std::fclose(f);
+  return mb;
+}
+
 void ReportToStderr() {
   MutexLock lock(ProfileMu());
+  if (Stages().empty()) return;
   for (const auto& [stage, stat] : Stages()) {
     std::string line;
     AppendF(&line, "# profile stage=%s", stage.c_str());
     AppendStageFields(&line, stat, /*json=*/false);
     std::fprintf(stderr, "%s\n", line.c_str());
   }
+  const double peak_rss_mb = PeakRssMb();
+  if (peak_rss_mb >= 0.0) {
+    std::fprintf(stderr, "# profile peak_rss_mb=%.1f\n", peak_rss_mb);
+  }
 }
 
 Status WriteJson(const std::string& path) {
-  std::string body = "{\"stages\":[\n";
+  std::string body = "{";
+  const double peak_rss_mb = PeakRssMb();
+  if (peak_rss_mb >= 0.0) AppendF(&body, "\"peak_rss_mb\":%.1f,", peak_rss_mb);
+  body += "\"stages\":[\n";
   {
     MutexLock lock(ProfileMu());
     bool first = true;

@@ -235,12 +235,20 @@ class ScopedTimer {
   double start_;
 };
 
+/// The process's peak resident set size in MB (`VmHWM` of
+/// /proc/self/status, kB / 1024 — the benchmark's `peak_rss_mb`), or a
+/// negative value when it cannot be read (no procfs).
+double PeakRssMb();
+
 /// Writes "# profile stage=... count=... total_s=... min_s=... max_s=..."
-/// lines to stderr (stderr keeps deterministic stdout byte-identical).
+/// lines to stderr (stderr keeps deterministic stdout byte-identical),
+/// then "# profile peak_rss_mb=..." when PeakRssMb() is readable.
 /// No-op when nothing was sampled.
 void ReportToStderr();
 
-/// Writes the accumulated profile as JSON ({"stages": [...]}).
+/// Writes the accumulated profile as JSON
+/// ({"peak_rss_mb": ..., "stages": [...]}); "peak_rss_mb" is omitted when
+/// PeakRssMb() cannot be read.
 Status WriteJson(const std::string& path);
 
 }  // namespace prof

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,6 +140,115 @@ TEST(TopFConvergecastTest, SmallestRespectsInterval) {
                                   WireFormat{});
   const std::vector<int64_t> expected = {2, 3, 5};
   EXPECT_EQ(r, expected);
+}
+
+// The merge helpers behind every list-carrying wave, against an
+// independent reference: concatenate + std::sort, then keep exactly the
+// elements with fewer than `limit` elements strictly ahead of them (the
+// first `limit` plus every tie of the limit-th).
+template <typename Cmp>
+std::vector<int64_t> ReferenceMerge(std::vector<int64_t> mine,
+                                    const std::vector<int64_t>& child,
+                                    int64_t limit, Cmp cmp) {
+  mine.insert(mine.end(), child.begin(), child.end());
+  std::sort(mine.begin(), mine.end(), cmp);
+  std::vector<int64_t> kept;
+  for (const int64_t x : mine) {
+    const auto ahead = std::count_if(mine.begin(), mine.end(),
+                                     [&](int64_t y) { return cmp(y, x); });
+    if (ahead < limit) kept.push_back(x);
+  }
+  return kept;
+}
+
+/// A tie-heavy sorted run of `size` values in [0, 12].
+template <typename Cmp>
+std::vector<int64_t> SortedRun(Rng* rng, int64_t size, Cmp cmp) {
+  std::vector<int64_t> run;
+  for (int64_t i = 0; i < size; ++i) run.push_back(rng->UniformInt(0, 12));
+  std::sort(run.begin(), run.end(), cmp);
+  return run;
+}
+
+template <typename Cmp>
+void CheckMergeHelpers(uint64_t seed, Cmp cmp) {
+  Rng rng(seed);
+  constexpr int64_t kNoLimit = 1 << 20;
+  std::vector<int64_t> scratch;  // reused across trials, like a lane's
+  scratch.reserve(64);
+  int empty_mine = 0;
+  int tiny_child = 0;
+  int general = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    // Sizes cover the empty-`mine` path, the <= 8-element binary-insert
+    // path and the general std::merge path, each with an empty child too.
+    const int64_t mine_size =
+        rng.UniformInt(0, 3) == 0 ? 0 : rng.UniformInt(1, 30);
+    const int64_t child_size = rng.UniformInt(0, 1) == 0
+                                   ? rng.UniformInt(0, 8)
+                                   : rng.UniformInt(9, 40);
+    if (child_size > 0) {
+      if (mine_size == 0) {
+        ++empty_mine;
+      } else if (child_size <= 8) {
+        ++tiny_child;
+      } else {
+        ++general;
+      }
+    }
+    const std::vector<int64_t> mine0 = SortedRun(&rng, mine_size, cmp);
+    const std::vector<int64_t> child0 = SortedRun(&rng, child_size, cmp);
+    const int64_t limit = rng.UniformInt(1, 45);
+
+    std::vector<int64_t> mine = mine0;
+    std::vector<int64_t> child = child0;
+    mine.reserve(mine.size() + 1);  // every row owns a buffer, as when warm
+    child.reserve(child.size() + 1);
+    const int64_t* child_buffer = child.data();
+    const int64_t* scratch_buffer = scratch.data();
+    MergeSortedInto(&mine, &child, &scratch, cmp);
+    EXPECT_EQ(mine, ReferenceMerge(mine0, child0, kNoLimit, cmp))
+        << "trial " << trial;
+    EXPECT_TRUE(child.empty());
+    // Ownership: the result lives in `mine`'s own buffer; `child` keeps
+    // its buffer and `mine` never takes `child`'s or `scratch`'s.
+    EXPECT_EQ(child.data(), child_buffer) << "trial " << trial;
+    if (!mine.empty()) {
+      EXPECT_NE(mine.data(), child_buffer) << "trial " << trial;
+      EXPECT_NE(mine.data(), scratch_buffer) << "trial " << trial;
+    }
+
+    std::vector<int64_t> truncated = mine0;
+    child = child0;
+    child_buffer = child.data();
+    scratch_buffer = scratch.data();
+    MergeTruncatedInto(&truncated, &child, &scratch, limit, cmp);
+    EXPECT_EQ(truncated, ReferenceMerge(mine0, child0, limit, cmp))
+        << "trial " << trial << " limit " << limit;
+    EXPECT_TRUE(child.empty());
+    if (!truncated.empty() && child_buffer != nullptr) {
+      EXPECT_NE(truncated.data(), child_buffer) << "trial " << trial;
+    }
+    if (!truncated.empty() && scratch_buffer != nullptr) {
+      EXPECT_NE(truncated.data(), scratch_buffer) << "trial " << trial;
+    }
+
+    std::vector<int64_t> alone = mine0;
+    TruncateWithTies(&alone, limit);
+    EXPECT_EQ(alone, ReferenceMerge(mine0, {}, limit, cmp))
+        << "trial " << trial << " limit " << limit;
+  }
+  EXPECT_GT(empty_mine, 50);
+  EXPECT_GT(tiny_child, 50);
+  EXPECT_GT(general, 50);
+}
+
+TEST(MergeHelpersTest, AscendingMatchesSortAndKeepsBuffers) {
+  CheckMergeHelpers(11, std::less<int64_t>());
+}
+
+TEST(MergeHelpersTest, DescendingMatchesSortAndKeepsBuffers) {
+  CheckMergeHelpers(12, std::greater<int64_t>());
 }
 
 TEST(TransitionConvergecastTest, CountsMovements) {

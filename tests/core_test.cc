@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/oracle.h"
 #include "algo/pos.h"
 #include "algo/registry.h"
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/simulation.h"
+#include "data/value_source.h"
 
 namespace wsnq {
 namespace {
@@ -185,6 +187,124 @@ TEST(SimulationTest, LifetimeInverselyRelatedToLoad) {
         .lifetime_rounds;
   };
   EXPECT_GT(lifetime(AlgorithmKind::kIq), lifetime(AlgorithmKind::kTag));
+}
+
+// RunSimulation's oracle counts over the round's vertex-indexed row; these
+// legs compare every trail record with the reference selection oracle over
+// the same round's sensor values.
+
+/// Checks each record's correct/rank_error against OracleKth /
+/// OracleRankError and `errors` against the incorrect rounds; returns how
+/// many rounds had a non-zero rank error.
+int64_t ExpectTrailMatchesReferenceOracle(const Scenario& scenario,
+                                          const SimulationResult& result) {
+  int64_t inexact_rounds = 0;
+  int64_t incorrect_rounds = 0;
+  for (const RoundRecord& record : result.trail) {
+    const std::vector<int64_t> sensors = SensorValues(
+        *scenario.network, scenario.ValuesByVertex(record.round));
+    EXPECT_EQ(record.correct,
+              record.quantile == OracleKth(sensors, scenario.k))
+        << "round " << record.round;
+    EXPECT_EQ(record.rank_error,
+              OracleRankError(sensors, record.quantile, scenario.k))
+        << "round " << record.round;
+    if (record.rank_error != 0) ++inexact_rounds;
+    if (!record.correct) ++incorrect_rounds;
+  }
+  EXPECT_EQ(result.errors, incorrect_rounds);
+  return inexact_rounds;
+}
+
+SimulationResult RunWithTrail(const Scenario& scenario, AlgorithmKind kind,
+                              int rounds) {
+  auto protocol = MakeProtocol(kind, scenario.k, scenario.source->range_min(),
+                               scenario.source->range_max(), WireFormat{});
+  return RunSimulation(scenario, protocol.get(), rounds,
+                       /*check_oracle=*/true, /*keep_trail=*/true);
+}
+
+TEST(SimulationOracleTest, ExactProtocolMatchesReference) {
+  const SimulationConfig config = SmallConfig();
+  auto scenario = BuildScenario(config, 0);
+  ASSERT_TRUE(scenario.ok());
+  const SimulationResult result =
+      RunWithTrail(scenario.value(), AlgorithmKind::kIq, config.rounds);
+  EXPECT_EQ(ExpectTrailMatchesReferenceOracle(scenario.value(), result), 0);
+  EXPECT_EQ(result.errors, 0);
+}
+
+TEST(SimulationOracleTest, ApproximateProtocolRankErrorMatchesReference) {
+  SimulationConfig config = SmallConfig();
+  config.num_sensors = 200;
+  config.radio_range = 30.0;
+  config.rounds = 30;
+  auto scenario = BuildScenario(config, 0);
+  ASSERT_TRUE(scenario.ok());
+  const SimulationResult result =
+      RunWithTrail(scenario.value(), AlgorithmKind::kQdigest, config.rounds);
+  // The leg only means something if the approximation actually misses.
+  EXPECT_GT(ExpectTrailMatchesReferenceOracle(scenario.value(), result), 0);
+  EXPECT_GT(result.max_rank_error, 0);
+}
+
+/// Reports 0 every round and sends nothing.
+class ReportsZeroProtocol : public QuantileProtocol {
+ public:
+  const char* name() const override { return "ZERO"; }
+  void RunRound(Network* /*net*/, const std::vector<int64_t>& /*values*/,
+                int64_t /*round*/) override {}
+  int64_t quantile() const override { return 0; }
+  RootCounts root_counts() const override { return {}; }
+};
+
+/// Sensor s reads 0 while s < zeros(round) and s + 1 otherwise, where
+/// zeros(round) cycles through k - 2, k - 1, k: a reported 0 then sits 2
+/// ranks low, 1 rank low, and exactly on rank k.
+class ZeroPrefixSource : public ValueSource {
+ public:
+  ZeroPrefixSource(int num_sensors, int64_t k)
+      : num_sensors_(num_sensors), k_(k) {}
+  int64_t Value(int sensor, int64_t round) const override {
+    return sensor < k_ - 2 + round % 3 ? 0 : sensor + 1;
+  }
+  int num_sensors() const override { return num_sensors_; }
+  int64_t range_min() const override { return 0; }
+  int64_t range_max() const override { return num_sensors_; }
+
+ private:
+  int num_sensors_;
+  int64_t k_;
+};
+
+TEST(SimulationOracleTest, RootEntryIsNotCountedAsASensor) {
+  // The vertex-indexed row carries a 0 for the root. A protocol reporting
+  // 0 over sensors that also read 0 is wrong whenever fewer than k sensors
+  // read 0, and counting the root's 0 as a sensor would hide one rank of
+  // that error.
+  const SimulationConfig config = SmallConfig();
+  auto built = BuildScenario(config, 0);
+  ASSERT_TRUE(built.ok());
+  Scenario& scenario = built.value();
+  const ZeroPrefixSource source(scenario.network->num_sensors(), scenario.k);
+  scenario.source = &source;
+  ASSERT_GE(scenario.k, 2);
+  ASSERT_EQ(scenario.ValuesByVertex(0)[static_cast<size_t>(
+                scenario.network->root())],
+            0);
+  ReportsZeroProtocol protocol;
+  const SimulationResult result =
+      RunSimulation(scenario, &protocol, /*rounds=*/5, /*check_oracle=*/true,
+                    /*keep_trail=*/true);
+  EXPECT_EQ(ExpectTrailMatchesReferenceOracle(scenario, result), 4);
+  ASSERT_EQ(result.trail.size(), 6u);
+  const int64_t expected_rank_error[] = {2, 1, 0, 2, 1, 0};
+  for (size_t round = 0; round < result.trail.size(); ++round) {
+    EXPECT_EQ(result.trail[round].rank_error, expected_rank_error[round])
+        << "round " << round;
+  }
+  EXPECT_EQ(result.errors, 4);
+  EXPECT_EQ(result.max_rank_error, 2);
 }
 
 TEST(ExperimentTest, AggregatesAcrossRuns) {

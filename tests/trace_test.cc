@@ -216,6 +216,35 @@ TEST(ProfTest, WallClockAndSamples) {
   EXPECT_NE(json.find("test/timer"), std::string::npos);
 }
 
+TEST(ProfTest, ReportsPeakRss) {
+  // Linux exposes VmHWM, and this process has touched well over 1 MB.
+  const double peak_rss_mb = prof::PeakRssMb();
+  ASSERT_GT(peak_rss_mb, 1.0);
+  ASSERT_LT(peak_rss_mb, 1e6);
+  prof::Enable();
+  prof::AddSample("test/rss", 0.001);
+
+  const std::string path = ::testing::TempDir() + "/profile_rss.json";
+  ASSERT_TRUE(prof::WriteJson(path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[4096];
+  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+  std::fclose(f);
+  const std::string json(buf, n);
+  const size_t at = json.find("\"peak_rss_mb\":");
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_GE(std::stod(json.substr(at + 14)), 1.0);
+  EXPECT_NE(json.find("\"stages\":["), std::string::npos);
+
+  ::testing::internal::CaptureStderr();
+  prof::ReportToStderr();
+  const std::string report = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(report.find("# profile stage=test/rss "), std::string::npos);
+  EXPECT_NE(report.find("# profile peak_rss_mb="), std::string::npos)
+      << report;
+}
+
 TEST(ProfSnapshotTest, TracksPerStageMinAndMax) {
   prof::ResetForTest();
   prof::AddSample("test/minmax", 0.25);
