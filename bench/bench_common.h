@@ -66,7 +66,7 @@ inline SimulationConfig DefaultSyntheticConfig() {
 ///                    fan-out (net/wave.h); every output stays bit-identical
 ///                    to the serial wave for any thread count.
 ///   --trace=PATH     structured event trace (.jsonl = JSONL, else
-///                    Chrome/Perfetto JSON; needs -DWSNQ_TRACING=ON).
+///                    Chrome/Perfetto JSON).
 ///   --metrics=PATH   long-format metrics CSV (docs/observability.md).
 ///   --profile[=PATH] wall-clock stage profile to stderr (plus JSON when a
 ///                    PATH is given).
@@ -108,12 +108,6 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
   if (!ok) return false;
   if (!Options().profile_path.empty()) prof::Enable();
   if (!Options().trace_path.empty()) {
-    if (!trace::CompiledIn()) {
-      std::fprintf(stderr,
-                   "warning: this build has WSNQ_TRACING off; --trace will "
-                   "write an empty trace (reconfigure with "
-                   "-DWSNQ_TRACING=ON)\n");
-    }
     trace::InstallGlobalSink(Options().trace_path);
   }
   return true;

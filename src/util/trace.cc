@@ -67,8 +67,6 @@ const char* ChromePh(Event::Kind kind) {
   return "i";
 }
 
-thread_local TraceBuffer* t_current = nullptr;
-
 std::unique_ptr<TraceSink> g_sink;  // main-thread lifecycle only
 
 }  // namespace
@@ -109,23 +107,11 @@ void TraceBuffer::Counter(const char* name, int64_t value) {
   Push(Event::Kind::kCounter, "counter", name, -1, {{name, value}});
 }
 
-TraceBuffer* Current() { return t_current; }
-
 RunScope::RunScope(TraceBuffer* buffer) : prev_(t_current) {
   t_current = buffer;
 }
 
 RunScope::~RunScope() { t_current = prev_; }
-
-ScopedSpan::ScopedSpan(const char* phase, const char* name, int node,
-                       std::initializer_list<Arg> args)
-    : buffer_(t_current), phase_(phase), name_(name), node_(node) {
-  if (buffer_ != nullptr) buffer_->Begin(phase_, name_, node_, args);
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (buffer_ != nullptr) buffer_->End(phase_, name_, node_);
-}
 
 void TraceSink::Fold(const TraceBuffer& buffer) {
   events_.reserve(events_.size() + buffer.events().size());
@@ -203,14 +189,6 @@ Status TraceSink::WriteFile() const {
     return Status::Internal("short write to trace file: " + path_);
   }
   return Status::Ok();
-}
-
-bool CompiledIn() {
-#if defined(WSNQ_TRACING) && WSNQ_TRACING
-  return true;
-#else
-  return false;
-#endif
 }
 
 TraceSink* GlobalSink() { return g_sink.get(); }

@@ -9,10 +9,8 @@
 //    run-index order, so serialized traces are bit-identical for every
 //    --threads value (the same ordered-fold discipline as the experiment
 //    aggregates; pinned by tests/trace_determinism_test.cc). Emission
-//    macros compile away entirely unless the tree is built with
-//    -DWSNQ_TRACING=1 (CMake option WSNQ_TRACING / the `tracing` preset);
-//    the buffer/sink classes below always exist so the plumbing in
-//    core/experiment.cc needs no #ifdefs.
+//    macros are compiled into every build; with no buffer installed each
+//    site costs one thread-local load and one branch.
 //
 //  * prof:: — wall-clock RAII stage timers and the thread pool's per-worker
 //    spans. Non-deterministic by nature, so output goes to stderr or an
@@ -103,9 +101,13 @@ class TraceBuffer {
   std::vector<Event> events_;
 };
 
+/// Backs Current(); only RunScope writes it. Defined in the header so every
+/// emission site reads it inline instead of calling into trace.cc.
+inline constinit thread_local TraceBuffer* t_current = nullptr;
+
 /// The thread's active buffer (set by RunScope); nullptr when tracing is
 /// inactive. Emission macros check this once per event.
-TraceBuffer* Current();
+inline TraceBuffer* Current() { return t_current; }
 
 /// Installs `buffer` as the calling thread's active trace buffer for the
 /// scope's lifetime. Pass nullptr to run untraced (the macros no-op).
@@ -125,8 +127,13 @@ class RunScope {
 class ScopedSpan {
  public:
   ScopedSpan(const char* phase, const char* name, int node,
-             std::initializer_list<Arg> args = {});
-  ~ScopedSpan();
+             std::initializer_list<Arg> args = {})
+      : buffer_(Current()), phase_(phase), name_(name), node_(node) {
+    if (buffer_ != nullptr) buffer_->Begin(phase_, name_, node_, args);
+  }
+  ~ScopedSpan() {
+    if (buffer_ != nullptr) buffer_->End(phase_, name_, node_);
+  }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
@@ -171,10 +178,6 @@ class TraceSink {
   int64_t next_tick_ WSNQ_GUARDED_BY(FoldPhase()) = 0;
   std::vector<Event> events_ WSNQ_GUARDED_BY(FoldPhase());
 };
-
-/// True when the tree was compiled with -DWSNQ_TRACING=1 (i.e. the
-/// WSNQ_TRACE_* macros below actually emit).
-bool CompiledIn();
 
 /// Process-wide sink configured by --trace=PATH; nullptr when tracing was
 /// not requested. Experiment code folds run buffers into it.
@@ -256,14 +259,14 @@ Status WriteJson(const std::string& path);
 
 // --- Emission macros ------------------------------------------------------
 //
-// Compiled out entirely (including argument evaluation) unless the tree is
-// built with WSNQ_TRACING. Args are brace-initialized {key, value} pairs:
+// Always compiled in. Each site checks trace::Current() inline, so with no
+// buffer installed it costs one thread-local load and one branch (a
+// WSNQ_TRACE_SCOPE also builds its span's fields). Args are brace-initialized
+// {key, value} pairs:
 //
 //   WSNQ_TRACE_EVENT("validation", "window", /*node=*/-1,
 //                    {"xi_l", xi_l_}, {"xi_r", xi_r_});
 //   WSNQ_TRACE_SCOPE("refinement", "drill", -1);
-
-#if defined(WSNQ_TRACING) && WSNQ_TRACING
 
 #define WSNQ_TRACE_CONCAT_INNER_(a, b) a##b
 #define WSNQ_TRACE_CONCAT_(a, b) WSNQ_TRACE_CONCAT_INNER_(a, b)
@@ -296,25 +299,5 @@ Status WriteJson(const std::string& path);
     if (::wsnq::trace::TraceBuffer* wsnq_tb_ = ::wsnq::trace::Current()) \
       wsnq_tb_->set_proto(proto);                                       \
   } while (0)
-
-#else  // !WSNQ_TRACING
-
-#define WSNQ_TRACE_EVENT(...) \
-  do {                        \
-  } while (0)
-#define WSNQ_TRACE_COUNTER(...) \
-  do {                          \
-  } while (0)
-#define WSNQ_TRACE_SCOPE(...) \
-  do {                        \
-  } while (0)
-#define WSNQ_TRACE_SET_ROUND(...) \
-  do {                            \
-  } while (0)
-#define WSNQ_TRACE_SET_PROTO(...) \
-  do {                            \
-  } while (0)
-
-#endif  // WSNQ_TRACING
 
 #endif  // WSNQ_UTIL_TRACE_H_

@@ -8,11 +8,9 @@
 // their args, the logical tick sequence, and the serialization format.
 // Any intentional change regenerates the golden with:
 //
-//   WSNQ_UPDATE_GOLDEN=1 ./build-tracing/tests/golden_trace_test
+//   WSNQ_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test
 //
 // which rewrites the file in the source tree (WSNQ_TEST_SRCDIR) and skips.
-// The test itself skips in builds without -DWSNQ_TRACING=ON, where the
-// emission macros compile away and the trace is legitimately empty.
 
 #include <algorithm>
 #include <cstdio>
@@ -67,9 +65,6 @@ StatusOr<std::string> ReadFile(const std::string& path) {
 }
 
 TEST(GoldenTraceTest, IqSmallScenarioMatchesFrozenTrace) {
-  if (!trace::CompiledIn()) {
-    GTEST_SKIP() << "build has WSNQ_TRACING off; trace is empty by design";
-  }
   trace::InstallGlobalSink("unused.jsonl");
   auto aggregates =
       RunExperiment(GoldenConfig(),
@@ -132,9 +127,6 @@ TEST(GoldenTraceTest, SubtreeParallelNeverChangesTrace) {
   // replays them serially in post order, so every trace byte — network
   // events included — must match the classic wave loop exactly, for any
   // thread count and partition choice.
-  if (!trace::CompiledIn()) {
-    GTEST_SKIP() << "build has WSNQ_TRACING off; trace is empty by design";
-  }
   const std::string serial = CaptureTrace(GoldenConfig());
   ASSERT_FALSE(serial.empty());
   for (int threads : {1, 2, 8}) {

@@ -81,11 +81,7 @@ Capture RunOnce(int threads, bool faulted = false) {
 
 TEST(TraceDeterminismTest, SerializedTraceIsByteIdenticalAcrossThreads) {
   const Capture serial = RunOnce(1);
-  if (trace::CompiledIn()) {
-    EXPECT_GT(serial.event_count, 0);
-  } else {
-    EXPECT_EQ(serial.event_count, 0);
-  }
+  EXPECT_GT(serial.event_count, 0);
   for (int threads : {2, 8}) {
     const Capture parallel = RunOnce(threads);
     EXPECT_EQ(serial.jsonl, parallel.jsonl) << "threads=" << threads;
@@ -113,12 +109,10 @@ TEST(TraceDeterminismTest, FaultedTraceIsByteIdenticalAcrossThreads) {
       }
     }
   }
-  if (trace::CompiledIn()) {
-    // The fault machinery must actually be visible in the trace.
-    EXPECT_NE(serial.jsonl.find("\"retx\""), std::string::npos);
-    EXPECT_NE(serial.jsonl.find("\"crash\""), std::string::npos);
-    EXPECT_NE(serial.jsonl.find("\"repair\""), std::string::npos);
-  }
+  // The fault machinery must actually be visible in the trace.
+  EXPECT_NE(serial.jsonl.find("\"retx\""), std::string::npos);
+  EXPECT_NE(serial.jsonl.find("\"crash\""), std::string::npos);
+  EXPECT_NE(serial.jsonl.find("\"repair\""), std::string::npos);
 }
 
 TEST(TraceDeterminismTest, FoldedMetricsAreIdenticalAcrossThreads) {

@@ -1,10 +1,7 @@
 // Unit tests of the wsnq-trace layer ("util/trace.h"): TraceBuffer event
 // recording, TraceSink ordered folding and serialization, RunScope /
 // ScopedSpan RAII, the profiling hooks, and the per-run metrics registry
-// ("core/metrics_registry.h"). Everything here must pass in BOTH build
-// flavors — the buffer/sink classes are always compiled; only the
-// WSNQ_TRACE_* macros depend on -DWSNQ_TRACING=1, and the macro test
-// branches on trace::CompiledIn().
+// ("core/metrics_registry.h").
 
 #include <cstdio>
 #include <string>
@@ -151,7 +148,7 @@ TEST(TraceRunScopeTest, ScopedSpanBindsToBufferAtConstruction) {
   EXPECT_EQ(buffer.events()[1].kind, trace::Event::Kind::kEnd);
 }
 
-TEST(TraceMacroTest, EmissionMatchesCompiledInFlag) {
+TEST(TraceMacroTest, EveryMacroEmitsIntoCurrentBuffer) {
   trace::TraceBuffer buffer(0);
   {
     trace::RunScope scope(&buffer);
@@ -161,14 +158,10 @@ TEST(TraceMacroTest, EmissionMatchesCompiledInFlag) {
     WSNQ_TRACE_SCOPE("validation", "span", -1);
     WSNQ_TRACE_COUNTER("packets", 3);
   }
-  if (trace::CompiledIn()) {
-    // instant + begin + counter + end (scope closes last).
-    ASSERT_EQ(buffer.events().size(), 4u);
-    EXPECT_EQ(buffer.events()[0].round, 2);
-    EXPECT_STREQ(buffer.events()[0].proto, "TAG");
-  } else {
-    EXPECT_TRUE(buffer.empty());
-  }
+  // instant + begin + counter + end (scope closes last).
+  ASSERT_EQ(buffer.events().size(), 4u);
+  EXPECT_EQ(buffer.events()[0].round, 2);
+  EXPECT_STREQ(buffer.events()[0].proto, "TAG");
 }
 
 TEST(TraceGlobalSinkTest, InstallFlushAndClear) {

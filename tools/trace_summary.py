@@ -97,9 +97,9 @@ def main():
               file=sys.stderr)
         return 2
     if not events:
-        print(f"trace_summary: {args.trace} holds no events "
-              "(built without -DWSNQ_TRACING=ON?)")
-        return 0
+        print(f"trace_summary: {args.trace} holds no events",
+              file=sys.stderr)
+        return 1
 
     per_event, per_proto, counters = summarize(events, args.phase, args.proto)
 

@@ -34,7 +34,7 @@
 //   --trail                 print per-round records (single run)
 //   --csv                   machine-readable output
 //   --trace=PATH            structured event trace (.jsonl = JSONL, else
-//                           Chrome/Perfetto JSON; needs -DWSNQ_TRACING=ON)
+//                           Chrome/Perfetto JSON)
 //   --metrics=PATH          long-format metrics CSV (docs/observability.md)
 //   --profile[=PATH]        wall-clock stage profile to stderr (and JSON
 //                           when a PATH is given)
@@ -234,15 +234,7 @@ int main(int argc, char** argv) {
   if (!profile_path.empty()) {
     prof::Enable();
   }
-  if (!trace_path.empty()) {
-    if (!trace::CompiledIn()) {
-      std::fprintf(stderr,
-                   "warning: this build has WSNQ_TRACING off; --trace will "
-                   "write an empty trace (reconfigure with "
-                   "-DWSNQ_TRACING=ON)\n");
-    }
-    trace::InstallGlobalSink(trace_path);
-  }
+  if (!trace_path.empty()) trace::InstallGlobalSink(trace_path);
 
   if (trail) {
     // Single-run per-round trace of the first algorithm.
