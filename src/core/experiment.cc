@@ -103,8 +103,8 @@ Status ExecuteRun(const SimulationConfig& config,
   return Status::Ok();
 }
 
-/// RunExperiment body over a prepared (sealed) cache, so RunSweep can share
-/// one cache across sweep points.
+/// RunExperiment body: prepares `cache` for this point and runs it, so
+/// RunSweep can share one cache across sweep points.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs,
@@ -136,6 +136,16 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   // wave engine's record/replay fold makes the split invisible in every
   // output bit, so this only reshapes where the wall-clock goes.
   const int wave_threads = std::max(1, resolved / std::max(1, threads));
+  ThreadPool pool(threads);
+  {
+    // The cache builds this point's artifacts on the same pool, then seals;
+    // after this every lookup is read-only. A failure is exactly the Status
+    // the storeless BuildScenario(config, run) reports for the first
+    // failing run.
+    prof::ScopedTimer timer("experiment/prepare_cache");
+    Status prepared = cache->Prepare(config, runs, &pool);
+    if (!prepared.ok()) return prepared;
+  }
   // Independent runs fan out over the deterministic pool (each run
   // re-derives its seeds from (config.seed, run), so no state is shared
   // between tasks — the cached artifacts they alias are sealed and const);
@@ -146,7 +156,6 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   std::vector<std::vector<SimulationResult>> results(
       static_cast<size_t>(runs),
       std::vector<SimulationResult>(factories.size()));
-  ThreadPool pool(threads);
   Status status = pool.ParallelFor(runs, [&](int64_t run) {
     return ExecuteRun(config, factories, static_cast<int>(run),
                       &results[static_cast<size_t>(run)],
@@ -166,24 +175,12 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   return aggregates;
 }
 
-/// Serial, deterministic cache pre-population (run-index order); after this
-/// the cache is sealed and every lookup is read-only. A Prepare failure is
-/// exactly the Status the storeless BuildScenario(config, run) reports for
-/// the first failing run.
-Status PrepareCache(ScenarioCache* cache, const SimulationConfig& config,
-                    int runs) {
-  prof::ScopedTimer timer("experiment/prepare_cache");
-  return cache->Prepare(config, runs);
-}
-
 }  // namespace
 
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs) {
   ScenarioCache cache;
-  Status status = PrepareCache(&cache, config, runs);
-  if (!status.ok()) return status;
   return RunExperimentImpl(config, factories, runs, &cache);
 }
 
@@ -194,10 +191,8 @@ StatusOr<std::vector<SweepPointResult>> RunSweep(
   std::vector<SweepPointResult> results;
   results.reserve(points.size());
   for (const SweepPoint& point : points) {
-    Status status = PrepareCache(&cache, point.config, runs);
     StatusOr<std::vector<AlgorithmAggregate>> aggregates =
-        status.ok() ? RunExperimentImpl(point.config, factories, runs, &cache)
-                    : StatusOr<std::vector<AlgorithmAggregate>>(status);
+        RunExperimentImpl(point.config, factories, runs, &cache);
     if (!aggregates.ok()) {
       return Status(aggregates.status().code(),
                     "sweep point x=" + point.x_value + ": " +

@@ -62,9 +62,11 @@ ProtocolFactory DefaultFactory(AlgorithmKind kind);
 /// parallel_determinism_test.cc holds this to exact equality).
 ///
 /// The immutable scenario artifacts (radio graphs, value sources, tree
-/// templates) are built once by a serial ScenarioCache pre-population pass
-/// and shared read-only across runs (core/scenario_cache.h); results are
-/// bit-identical to building each run's scenario from scratch.
+/// templates) are built once by a ScenarioCache pre-population pass on the
+/// same pool — run 0 first on the calling thread, the other runs in
+/// parallel, merged in run-index order — and shared read-only across runs
+/// (core/scenario_cache.h); results are bit-identical to building each
+/// run's scenario from scratch.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs);

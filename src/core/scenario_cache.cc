@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace wsnq {
 namespace internal {
@@ -91,20 +95,91 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 
 }  // namespace internal
 
-Status ScenarioCache::Prepare(const SimulationConfig& config, int runs) {
-  sealed_ = false;
-  for (int run = 0; run < runs; ++run) {
-    // Build (and discard) the full scenario: every shareable artifact the
-    // run needs lands in the map as a side effect, in the order the
-    // storeless BuildScenario(config, run) would build it.
-    StatusOr<Scenario> scenario = BuildScenario(config, run, this);
-    if (!scenario.ok()) {
-      sealed_ = true;
-      return scenario.status();
+/// Staging store of one run built on the pool: lookups read the run's own
+/// builds and then the cache's map (nobody writes it during the fan-out);
+/// builds and lookup counts stay here until the calling thread merges
+/// them in run-index order.
+class ScenarioCache::RunStage final : public internal::ArtifactStore {
+ public:
+  explicit RunStage(const ScenarioCache& owner) : cache(owner) {}
+
+  std::shared_ptr<const void> Get(const std::string& key) const override {
+    for (const auto& [built_key, value] : built) {
+      if (built_key == key) {
+        ++hits;
+        return value;
+      }
     }
+    std::shared_ptr<const void> value = cache.Find(key);
+    ++(value != nullptr ? hits : misses);
+    return value;
   }
+
+  void Put(const std::string& key,
+           std::shared_ptr<const void> value) override {
+    built.emplace_back(key, std::move(value));
+  }
+
+  const ScenarioCache& cache;
+  /// This run's builds, in build order.
+  std::vector<std::pair<std::string, std::shared_ptr<const void>>> built;
+  mutable int64_t hits = 0;
+  mutable int64_t misses = 0;
+  Status status;
+};
+
+Status ScenarioCache::Prepare(const SimulationConfig& config, int runs,
+                              ThreadPool* pool) {
+  sealed_ = false;
+  const Status status = PrepareRuns(config, runs, pool);
   sealed_ = true;
+  return status;
+}
+
+Status ScenarioCache::PrepareRuns(const SimulationConfig& config, int runs,
+                                  ThreadPool* pool) {
+  // Build (and discard) full scenarios: every shareable artifact a run
+  // needs is offered to the store as a side effect, in the order the
+  // storeless BuildScenario(config, run) would build it. Without a pool
+  // every run goes straight into the map. With one, only run 0 does: it
+  // builds every run-invariant artifact (pressure workload, SOM graph), so
+  // the staged runs find those instead of each building its own.
+  const int serial_runs = pool == nullptr ? runs : std::min(runs, 1);
+  for (int run = 0; run < serial_runs; ++run) {
+    Status status = BuildScenario(config, run, this).status();
+    if (!status.ok()) return status;
+  }
+  if (serial_runs >= runs) return Status::Ok();
+
+  std::vector<RunStage> stages;
+  stages.reserve(static_cast<size_t>(runs - 1));
+  for (int run = 1; run < runs; ++run) stages.emplace_back(*this);
+  // Every stage finishes even past a failure; the merge below stops where
+  // the serial pass would have.
+  (void)pool->ParallelFor(runs - 1, [&](int64_t i) {
+    RunStage& stage = stages[static_cast<size_t>(i)];
+    stage.status =
+        BuildScenario(config, static_cast<int>(i) + 1, &stage).status();
+    return Status::Ok();
+  });
+  // ParallelFor has returned, so no stage reads the map any more.
+  for (const RunStage& stage : stages) {
+    Merge(stage);
+    if (!stage.status.ok()) return stage.status;
+  }
   return Status::Ok();
+}
+
+void ScenarioCache::Merge(const RunStage& stage) {
+  AssertPreparePhase();
+  hits_.fetch_add(stage.hits, std::memory_order_relaxed);
+  misses_.fetch_add(stage.misses, std::memory_order_relaxed);
+  for (const auto& [key, value] : stage.built) {
+    // First build wins. Two staged runs building one key would also show
+    // as more misses than the serial pass counts (the serial pass's later
+    // run hits instead), which tests/scenario_cache_test.cc pins.
+    entries_.emplace(key, value);
+  }
 }
 
 StatusOr<Scenario> ScenarioCache::Build(const SimulationConfig& config,
@@ -114,19 +189,20 @@ StatusOr<Scenario> ScenarioCache::Build(const SimulationConfig& config,
 
 void ScenarioCache::AssertPreparePhase() {
   // The dynamic half of the phase capability: mutation is only legal while
-  // unsealed, i.e. inside the serial Prepare() pass.
+  // unsealed, i.e. inside Prepare() on its calling thread.
   WSNQ_DCHECK(!sealed_);
 }
 
-std::shared_ptr<const void> ScenarioCache::Get(const std::string& key) const {
+std::shared_ptr<const void> ScenarioCache::Find(const std::string& key) const {
   AssertReadPhase();
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return it == entries_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const void> ScenarioCache::Get(const std::string& key) const {
+  std::shared_ptr<const void> value = Find(key);
+  (value != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return value;
 }
 
 void ScenarioCache::Put(const std::string& key,

@@ -22,8 +22,11 @@
 //   <deploy>|tree|root|strat|salt              routing-tree template
 //
 // Concurrency contract (docs/hardening.md, "Concurrency & determinism"):
-// the cache is populated by a serial, deterministic Prepare() pass in
-// run-index order, then *sealed*. After sealing, Get() is const and
+// the cache is populated by a deterministic Prepare() pass, then *sealed*.
+// Prepare builds run 0 on the calling thread and, given a ThreadPool, the
+// other runs on the pool, each into its own staging store that only reads
+// the map; the calling thread then merges the stages in run-index order,
+// so only it ever writes the map. After sealing, Get() is const and
 // thread-safe; Put() drops the offered artifact (the caller keeps its
 // freshly built copy), so the read-only parallel phase can never mutate
 // the map. Everything stored is shared_ptr<const T> — runs alias the
@@ -56,6 +59,9 @@
 #include "util/thread_annotations.h"
 
 namespace wsnq {
+
+class ThreadPool;
+
 namespace internal {
 
 // --- Cached artifact types (built and consumed by core/scenario.cc) -------
@@ -94,7 +100,7 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 /// Immutable-artifact cache for scenario construction. Typical lifecycle:
 ///
 ///   ScenarioCache cache;
-///   cache.Prepare(config, runs);          // serial, deterministic, seals
+///   cache.Prepare(config, runs, &pool);   // deterministic, seals
 ///   ... ThreadPool fans runs out; each task calls cache.Build(config, run)
 ///       and gets aliased shared-immutable artifacts plus its own Network.
 ///
@@ -107,11 +113,18 @@ class ScenarioCache final : public internal::ArtifactStore {
   ScenarioCache(const ScenarioCache&) = delete;
   ScenarioCache& operator=(const ScenarioCache&) = delete;
 
-  /// Builds every shareable artifact of runs [0, runs) in run-index order
-  /// on the calling thread, then seals the cache. Returns the first
-  /// failing run's Status — the same Status the storeless
-  /// BuildScenario(config, run) reports for that run.
-  Status Prepare(const SimulationConfig& config, int runs);
+  /// Builds every shareable artifact of runs [0, runs), then seals the
+  /// cache. Without a pool every run is built in run-index order on the
+  /// calling thread. With one, run 0 is built first on the calling thread
+  /// (it puts the run-invariant artifacts — pressure workload, SOM graph —
+  /// in the map), runs 1 .. runs-1 are built on `pool`, each into its own
+  /// staging store, and the stages are merged in run-index order, first
+  /// build winning. Either way the map, hits() and misses() end up as the
+  /// serial pass leaves them, and the Status is the first failing run's —
+  /// the same Status the storeless BuildScenario(config, run) reports for
+  /// that run. `pool` must not be running a ParallelFor of its own.
+  Status Prepare(const SimulationConfig& config, int runs,
+                 ThreadPool* pool = nullptr);
 
   /// BuildScenario(config, run, this): assembles run `run`'s scenario from
   /// cached artifacts (plus a fresh per-run Network / fault plan). Safe to
@@ -135,31 +148,45 @@ class ScenarioCache final : public internal::ArtifactStore {
   }
 
  private:
+  /// One run's build during Prepare's pool fan-out (defined in the .cc).
+  class RunStage;
+
+  /// Prepare without the unseal/seal bracket.
+  Status PrepareRuns(const SimulationConfig& config, int runs,
+                     ThreadPool* pool);
+  /// Moves a finished stage's artifacts and lookup counts into the cache.
+  void Merge(const RunStage& stage);
+  /// The artifact under `key`, or nullptr; counts nothing. Stages read the
+  /// map through this while the fan-out runs.
+  std::shared_ptr<const void> Find(const std::string& key) const;
+
   /// The prepare-then-seal discipline as a phantom capability: mutating the
-  /// artifact map requires the *prepare phase* — the serial, run-index-order
-  /// Prepare() pass that runs before the ThreadPool fan-out. Pool-time code
-  /// cannot name (let alone assert) the phase, so under clang's
-  /// -Wthread-safety a new mutation path of `entries_` that does not route
-  /// through AssertPreparePhase() — which dynamically re-checks !sealed_ —
-  /// is a compile error, not a latent race.
+  /// artifact map requires the *prepare phase* — Prepare() on its calling
+  /// thread, before the experiment's run fan-out. Pool-time code (Prepare's
+  /// own staged runs included, which write only their stages) cannot name
+  /// (let alone assert) the phase, so under clang's -Wthread-safety a new
+  /// mutation path of `entries_` that does not route through
+  /// AssertPreparePhase() — which dynamically re-checks !sealed_ — is a
+  /// compile error, not a latent race.
   class WSNQ_CAPABILITY("scenario_cache/prepare") PreparePhase {};
 
-  /// Dynamically checks the unsealed (serial Prepare) phase, then grants
-  /// the capability to the analysis. Defined in the .cc (needs check.h).
+  /// Dynamically checks the unsealed (Prepare) phase, then grants the
+  /// capability to the analysis. Defined in the .cc (needs check.h).
   void AssertPreparePhase() WSNQ_ASSERT_CAPABILITY(prepare_phase_);
-  /// Reads are phase-agnostic: the map is exclusively owned while
-  /// preparing and immutable once sealed, so a shared grant is always
-  /// sound. Purely an analysis-level claim — no runtime effect.
+  /// Reads are phase-agnostic: while preparing, the map is written only by
+  /// the calling thread and only while no staged run is reading it, and it
+  /// is immutable once sealed, so a shared grant is always sound. Purely
+  /// an analysis-level claim — no runtime effect.
   void AssertReadPhase() const
       WSNQ_ASSERT_SHARED_CAPABILITY(prepare_phase_) {}
 
   PreparePhase prepare_phase_;
   std::unordered_map<std::string, std::shared_ptr<const void>> entries_
       WSNQ_GUARDED_BY(prepare_phase_);
-  // Written only by the serial Prepare() pass; read by pool-time Get/Put
-  // after the happens-before edge of the ThreadPool fan-out, so it stays
-  // outside the phase capability (guarding it would be circular: the
-  // asserts themselves read it).
+  // Written only by Prepare() on its calling thread; read by pool-time
+  // Get/Put after the happens-before edge of the ThreadPool fan-out, so it
+  // stays outside the phase capability (guarding it would be circular:
+  // the asserts themselves read it).
   bool sealed_ = false;
   // Stat counters only — mutable atomics so the sealed, logically-const
   // Get() can count from concurrent run tasks without a data race.

@@ -40,8 +40,29 @@ std::vector<Point2D> JitteredGridPlacement(int count, double width,
 }
 
 bool IsConnected(const std::vector<Point2D>& points, double rho) {
-  RadioGraph graph(points, rho);
-  return graph.IsConnected();
+  // The same search as RadioGraph::IsConnected, over the grid scan that
+  // builds RadioGraph's adjacency, but without materializing the
+  // adjacency: a rejected placement attempt costs one scan, and the
+  // search stops as soon as every vertex is reached.
+  const internal::RadioGrid grid(points, rho);
+  const int n = static_cast<int>(points.size());
+  if (n <= 1) return true;
+  std::vector<char> seen(static_cast<size_t>(n), 0);
+  std::vector<int> stack = {0};
+  seen[0] = 1;
+  int visited = 1;
+  while (!stack.empty() && visited < n) {
+    const int v = stack.back();
+    stack.pop_back();
+    grid.ForEachInRange(
+        v, [&](int u) { return !seen[static_cast<size_t>(u)]; },
+        [&](int u) {
+          seen[static_cast<size_t>(u)] = 1;
+          ++visited;
+          stack.push_back(u);
+        });
+  }
+  return visited == n;
 }
 
 StatusOr<std::vector<Point2D>> ConnectedPlacement(int count, double width,

@@ -25,7 +25,9 @@ std::vector<Point2D> JitteredGridPlacement(int count, double width,
                                            double height,
                                            double jitter_fraction, Rng* rng);
 
-/// True iff the unit-disk graph over `points` with range `rho` is connected.
+/// True iff the unit-disk graph over `points` with range `rho` is connected:
+/// exactly RadioGraph(points, rho).IsConnected(), without building the
+/// graph's adjacency lists.
 bool IsConnected(const std::vector<Point2D>& points, double rho);
 
 /// Draws uniform placements until one is connected under range `rho`

@@ -9,78 +9,109 @@
 #include "util/check.h"
 
 namespace wsnq {
+namespace internal {
 
-RadioGraph::RadioGraph(std::vector<Point2D> points, double rho)
-    : points_(std::move(points)), rho_(rho) {
+RadioGrid::RadioGrid(const std::vector<Point2D>& points, double rho)
+    : points_(&points), rho_sq_(rho * rho) {
   WSNQ_CHECK_GT(rho, 0.0);
-  const int n = size();
-  adjacency_.assign(static_cast<size_t>(n), {});
+  const int n = static_cast<int>(points.size());
   if (n == 0) return;
 
   // Bounding box and grid with cell size >= rho: the +-1-cell neighbour
-  // scan below only needs the cell to be at least rho wide, so a
-  // degenerate rho (orders of magnitude below the point spread) widens the
-  // cell instead of requesting a grid with more cells than memory — with
-  // rho = 0.001 over a 200 m area, cell size rho would mean 4e10 cells and
-  // an int overflow in cols * rows.
-  double min_x = points_[0].x, max_x = points_[0].x;
-  double min_y = points_[0].y, max_y = points_[0].y;
-  for (const auto& p : points_) {
-    min_x = std::min(min_x, p.x);
+  // scan only needs the cell to be at least rho wide, so a degenerate rho
+  // (orders of magnitude below the point spread) widens the cell instead
+  // of requesting a grid with more cells than memory — with rho = 0.001
+  // over a 200 m area, cell size rho would mean 4e10 cells and an int
+  // overflow in cols * rows.
+  double max_x = points[0].x;
+  double max_y = points[0].y;
+  min_x_ = points[0].x;
+  min_y_ = points[0].y;
+  for (const auto& p : points) {
+    min_x_ = std::min(min_x_, p.x);
     max_x = std::max(max_x, p.x);
-    min_y = std::min(min_y, p.y);
+    min_y_ = std::min(min_y_, p.y);
     max_y = std::max(max_y, p.y);
   }
   const int64_t max_cells = std::max<int64_t>(64, 4 * static_cast<int64_t>(n));
-  double cell = rho;
+  cell_ = rho;
   auto grid_dim = [](double span, double cell_size) {
     return std::max<int64_t>(
         1, static_cast<int64_t>(std::floor(span / cell_size)) + 1);
   };
-  while (grid_dim(max_x - min_x, cell) * grid_dim(max_y - min_y, cell) >
+  while (grid_dim(max_x - min_x_, cell_) * grid_dim(max_y - min_y_, cell_) >
          max_cells) {
-    cell *= 2.0;
+    cell_ *= 2.0;
   }
-  const int cols = static_cast<int>(grid_dim(max_x - min_x, cell));
-  const int rows = static_cast<int>(grid_dim(max_y - min_y, cell));
-  auto cell_of = [&](const Point2D& p) {
-    int cx = static_cast<int>((p.x - min_x) / cell);
-    int cy = static_cast<int>((p.y - min_y) / cell);
-    cx = std::clamp(cx, 0, cols - 1);
-    cy = std::clamp(cy, 0, rows - 1);
-    return cy * cols + cx;
-  };
+  cols_ = static_cast<int>(grid_dim(max_x - min_x_, cell_));
+  rows_ = static_cast<int>(grid_dim(max_y - min_y_, cell_));
 
-  std::vector<std::vector<int>> cells(static_cast<size_t>(cols) *
-                                      static_cast<size_t>(rows));
+  // Counting sort of the vertices into flat per-cell ranges.
+  const size_t num_cells =
+      static_cast<size_t>(cols_) * static_cast<size_t>(rows_);
+  std::vector<int> cell_of(static_cast<size_t>(n));
+  cell_start_.assign(num_cells + 1, 0);
   for (int v = 0; v < n; ++v) {
-    cells[static_cast<size_t>(cell_of(points_[static_cast<size_t>(v)]))]
-        .push_back(v);
+    const Point2D& p = points[static_cast<size_t>(v)];
+    cell_of[static_cast<size_t>(v)] = CellY(p) * cols_ + CellX(p);
+    ++cell_start_[static_cast<size_t>(cell_of[static_cast<size_t>(v)]) + 1];
   }
-
-  const double rho_sq = rho * rho;
+  for (size_t c = 0; c < num_cells; ++c) cell_start_[c + 1] += cell_start_[c];
+  std::vector<int> fill(cell_start_.begin(), cell_start_.end() - 1);
+  members_.resize(static_cast<size_t>(n));
   for (int v = 0; v < n; ++v) {
-    const Point2D& p = points_[static_cast<size_t>(v)];
-    const int cx = std::clamp(static_cast<int>((p.x - min_x) / cell), 0,
-                              cols - 1);
-    const int cy = std::clamp(static_cast<int>((p.y - min_y) / cell), 0,
-                              rows - 1);
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const int nx = cx + dx;
-        const int ny = cy + dy;
-        if (nx < 0 || nx >= cols || ny < 0 || ny >= rows) continue;
-        for (int u : cells[static_cast<size_t>(ny * cols + nx)]) {
-          if (u == v) continue;
-          if (SquaredDistance(p, points_[static_cast<size_t>(u)]) <= rho_sq) {
-            adjacency_[static_cast<size_t>(v)].push_back(u);
-          }
-        }
-      }
+    const size_t c = static_cast<size_t>(cell_of[static_cast<size_t>(v)]);
+    members_[static_cast<size_t>(fill[c]++)] = v;
+  }
+}
+
+int RadioGrid::CellX(const Point2D& p) const {
+  return std::clamp(static_cast<int>((p.x - min_x_) / cell_), 0, cols_ - 1);
+}
+
+int RadioGrid::CellY(const Point2D& p) const {
+  return std::clamp(static_cast<int>((p.y - min_y_) / cell_), 0, rows_ - 1);
+}
+
+}  // namespace internal
+
+RadioGraph::RadioGraph(std::vector<Point2D> points, double rho)
+    : points_(std::move(points)), rho_(rho) {
+  const internal::RadioGrid grid(points_, rho);
+  const int n = size();
+  // Each in-range pair is tested once, from its smaller end. v ascends, so
+  // the edges come out grouped by ascending smaller end.
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> degree(static_cast<size_t>(n), 0);
+  for (int v = 0; v < n; ++v) {
+    grid.ForEachInRange(
+        v, [v](int u) { return u > v; },
+        [&](int u) {
+          edges.emplace_back(v, u);
+          ++degree[static_cast<size_t>(v)];
+          ++degree[static_cast<size_t>(u)];
+        });
+  }
+  // Exact-size lists, allocated in vertex order.
+  adjacency_.resize(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    adjacency_[static_cast<size_t>(v)].reserve(
+        static_cast<size_t>(degree[static_cast<size_t>(v)]));
+  }
+  // Every list first gets its smaller neighbours, in ascending order ...
+  for (const auto& [v, u] : edges) {
+    adjacency_[static_cast<size_t>(u)].push_back(v);
+  }
+  // ... and mirroring those edges in ascending u appends the larger
+  // neighbours in ascending order, so no list needs sorting. While u is
+  // processed its own list still holds only its smaller neighbours: the
+  // larger ones arrive when they are processed, later.
+  for (int u = 0; u < n; ++u) {
+    const size_t smaller = adjacency_[static_cast<size_t>(u)].size();
+    for (size_t i = 0; i < smaller; ++i) {
+      const int v = adjacency_[static_cast<size_t>(u)][i];
+      adjacency_[static_cast<size_t>(v)].push_back(u);
     }
-    // Deterministic neighbour order independent of grid iteration order.
-    std::sort(adjacency_[static_cast<size_t>(v)].begin(),
-              adjacency_[static_cast<size_t>(v)].end());
   }
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -55,6 +56,32 @@ TEST(PlacementTest, ImpossibleRangeFails) {
   auto result = ConnectedPlacement(400, 200.0, 200.0, 0.5, &rng, 3);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(PlacementTest, ConnectivityCheckAgreesWithRadioGraph) {
+  // Seeded placements on both sides of the connectivity threshold (about
+  // 25-35 m for 150 nodes on 200 m x 200 m), plus rho = 0.001, where the
+  // grid cells widen far past rho.
+  int connected = 0;
+  int disconnected = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const std::vector<std::vector<Point2D>> placements = {
+        UniformPlacement(150, 200.0, 200.0, &rng),
+        JitteredGridPlacement(150, 200.0, 200.0, 0.25, &rng),
+        UniformPlacement(2, 200.0, 200.0, &rng),
+        UniformPlacement(1, 200.0, 200.0, &rng)};
+    for (const std::vector<Point2D>& points : placements) {
+      for (double rho : {0.001, 15.0, 20.0, 25.0, 30.0, 35.0, 45.0, 300.0}) {
+        const bool expected = RadioGraph(points, rho).IsConnected();
+        EXPECT_EQ(IsConnected(points, rho), expected)
+            << "seed " << seed << " n " << points.size() << " rho " << rho;
+        ++(expected ? connected : disconnected);
+      }
+    }
+  }
+  EXPECT_GT(connected, 0);
+  EXPECT_GT(disconnected, 0);
 }
 
 TEST(RadioGraphTest, EdgesMatchBruteForce) {

@@ -3,11 +3,13 @@
 // shared-immutable artifacts across runs and sweep points (including under
 // the ThreadPool), and — the load-bearing property — cached scenarios
 // bit-identical to uncached ones, and aggregates identical at any thread
-// count. Runs under the tsan CI job so the sealed read-only lookup phase is
-// race-checked.
+// count, and a Prepare on a ThreadPool identical to the serial one. Runs
+// under the tsan CI job so the parallel Prepare and the sealed read-only
+// lookup phase are race-checked.
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -213,15 +215,87 @@ TEST(ScenarioCacheTest, SealedCacheMissRebuildsFreshWithoutInsert) {
 }
 
 TEST(ScenarioCacheTest, PrepareReportsFirstFailingRunStatus) {
-  SimulationConfig config = SmallSynthetic();
-  config.radio_range = 0.001;  // never connectable
-  ScenarioCache cache;
-  const Status prepared = cache.Prepare(config, 4);
-  ASSERT_FALSE(prepared.ok());
-  const auto uncached = BuildScenario(config, 0);
-  ASSERT_FALSE(uncached.ok());
-  EXPECT_EQ(prepared.code(), uncached.status().code());
-  EXPECT_EQ(prepared.message(), uncached.status().message());
+  SimulationConfig never = SmallSynthetic();
+  never.radio_range = 0.001;  // never connectable: run 0 already fails
+  // Near the connectivity threshold only some runs find a connected
+  // placement: here run 2 is the first to fail, and runs 4 and 5 succeed
+  // after it, so a merge that ran past run 2 would grow the map.
+  SimulationConfig sometimes = SmallSynthetic();
+  sometimes.num_sensors = 8;
+  sometimes.radio_range = 55.0;
+  constexpr int kRuns = 8;
+  ThreadPool pool(4);
+  for (const auto& [config, first_failing] :
+       {std::pair{never, 0}, std::pair{sometimes, 2}}) {
+    for (int run = 0; run < first_failing; ++run) {
+      ASSERT_TRUE(BuildScenario(config, run).ok()) << run;
+    }
+    const auto uncached = BuildScenario(config, first_failing);
+    ASSERT_FALSE(uncached.ok());
+    ScenarioCache serial;
+    ASSERT_FALSE(serial.Prepare(config, kRuns).ok());
+    for (ThreadPool* prepare_pool :
+         {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string context =
+          "first failing run " + std::to_string(first_failing) +
+          (prepare_pool == nullptr ? " serial" : " pool");
+      ScenarioCache cache;
+      const Status prepared = cache.Prepare(config, kRuns, prepare_pool);
+      ASSERT_FALSE(prepared.ok()) << context;
+      EXPECT_TRUE(cache.sealed()) << context;
+      EXPECT_EQ(prepared.code(), uncached.status().code()) << context;
+      EXPECT_EQ(prepared.message(), uncached.status().message()) << context;
+      EXPECT_EQ(cache.size(), serial.size()) << context;
+      EXPECT_EQ(cache.misses(), serial.misses()) << context;
+      EXPECT_EQ(cache.hits(), serial.hits()) << context;
+    }
+  }
+}
+
+// --- Parallel Prepare -----------------------------------------------------
+
+TEST(ScenarioCacheTest, ParallelPrepareMatchesSerialPrepare) {
+  SimulationConfig multivalue = SmallSynthetic();
+  multivalue.values_per_node = 2;
+  SimulationConfig lossy = SmallPressure();
+  lossy.fault.loss = 0.2;
+  const std::vector<std::pair<std::string, SimulationConfig>> configs = {
+      {"synthetic", SmallSynthetic()},
+      {"synthetic+multivalue", multivalue},
+      {"pressure", SmallPressure()},
+      {"pressure+loss", lossy}};
+  constexpr int kRuns = 6;
+  for (const auto& [name, config] : configs) {
+    ScenarioCache serial;
+    ASSERT_TRUE(serial.Prepare(config, kRuns).ok()) << name;
+    // Snapshot before the Builds below add hits.
+    const int64_t serial_size = serial.size();
+    const int64_t serial_misses = serial.misses();
+    const int64_t serial_hits = serial.hits();
+    for (int threads : {1, 2, 4, 8}) {
+      const std::string context = name + " threads=" + std::to_string(threads);
+      ThreadPool pool(threads);
+      ScenarioCache parallel;
+      ASSERT_TRUE(parallel.Prepare(config, kRuns, &pool).ok()) << context;
+      EXPECT_TRUE(parallel.sealed()) << context;
+      EXPECT_EQ(parallel.size(), serial_size) << context;
+      EXPECT_EQ(parallel.misses(), serial_misses) << context;
+      EXPECT_EQ(parallel.hits(), serial_hits) << context;
+
+      const int64_t misses_after_prepare = parallel.misses();
+      for (int run = 0; run < kRuns; ++run) {
+        auto expected = serial.Build(config, run);
+        auto actual = parallel.Build(config, run);
+        ASSERT_TRUE(expected.ok()) << context;
+        ASSERT_TRUE(actual.ok()) << context;
+        ExpectScenariosIdentical(actual.value(), expected.value(),
+                                 config.rounds,
+                                 context + " run=" + std::to_string(run));
+      }
+      EXPECT_EQ(parallel.misses(), misses_after_prepare) << context;
+      EXPECT_EQ(parallel.sealed_drops(), 0) << context;
+    }
+  }
 }
 
 // --- Sharing --------------------------------------------------------------
