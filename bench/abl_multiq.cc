@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
     // Shared multi-quantile query.
     net->ResetAccounting();
     MultiIqProtocol multi(ks, scenario.value().source->range_min(),
-                          scenario.value().source->range_max(), config.wire,
-                          {});
+                          scenario.value().source->range_max(), config.wire);
     double max_round_sum = 0.0;
     for (int64_t t = 0; t <= config.rounds; ++t) {
       net->BeginRound();

@@ -20,7 +20,8 @@ namespace wsnq {
 namespace bench {
 
 /// Observability outputs shared by all benches, filled by
-/// ParseCommonFlags and consumed by FinishObservability and MetricsCsv.
+/// ParseCommonFlags and consumed by FinishObservability and MetricsCsv
+/// (core/report.h).
 struct CommonOptions {
   std::string trace_path;    ///< --trace=PATH (empty: no trace)
   std::string metrics_path;  ///< --metrics=PATH (empty: no metrics CSV)
@@ -113,64 +114,12 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
   return true;
 }
 
-/// Writes the trace file and profile report configured by
-/// ParseCommonFlags; returns `code`, downgraded to 1 on a failed write.
-/// RunSweep calls this; hand-rolled benches return through it.
+/// FinishObservability (core/report.h) with the --profile path parsed by
+/// ParseCommonFlags. RunSweep calls this; hand-rolled benches return
+/// through it.
 inline int FinishObservability(int code) {
-  const Status trace_status = trace::FlushGlobalSink();
-  if (!trace_status.ok()) {
-    std::fprintf(stderr, "trace write failed: %s\n",
-                 trace_status.ToString().c_str());
-    if (code == 0) code = 1;
-  }
-  prof::ReportToStderr();
-  const std::string& profile = Options().profile_path;
-  if (!profile.empty() && profile != "true") {
-    const Status profile_status = prof::WriteJson(profile);
-    if (!profile_status.ok()) {
-      std::fprintf(stderr, "profile write failed: %s\n",
-                   profile_status.ToString().c_str());
-      if (code == 0) code = 1;
-    }
-  }
-  return code;
+  return wsnq::FinishObservability(code, Options().profile_path);
 }
-
-/// The --metrics=PATH long-format CSV (docs/observability.md). Open()
-/// creates the file with its header and AddRows() appends one aggregate's
-/// metrics; both do nothing when --metrics was not given.
-class MetricsCsv {
- public:
-  MetricsCsv() = default;
-  MetricsCsv(const MetricsCsv&) = delete;
-  MetricsCsv& operator=(const MetricsCsv&) = delete;
-  ~MetricsCsv() {
-    if (out_ != nullptr) std::fclose(out_);
-  }
-
-  /// Returns false (after printing to stderr) if the file cannot be made.
-  bool Open() {
-    const std::string& path = Options().metrics_path;
-    if (path.empty()) return true;
-    out_ = std::fopen(path.c_str(), "w");
-    if (out_ == nullptr) {
-      std::fprintf(stderr, "cannot open --metrics=%s\n", path.c_str());
-      return false;
-    }
-    PrintMetricsCsvHeader(out_);
-    return true;
-  }
-
-  void AddRows(const std::string& figure, const std::string& dataset,
-               const std::string& x_name, const std::string& x_value,
-               const AlgorithmAggregate& aggregate) {
-    if (out_ == nullptr) return;
-    PrintMetricsCsvRows(out_, figure, dataset, x_name, x_value, aggregate);
-  }
-
- private:
-  std::FILE* out_ = nullptr;
-};
 
 /// Runs one x-axis sweep over labeled protocol factories and prints rows.
 /// `configure` mutates the base config for a given x-value. The points go
@@ -190,7 +139,7 @@ inline int RunSweep(
   const int runs = RunsFromEnv(20);
   const auto start = std::chrono::steady_clock::now();
   MetricsCsv metrics;
-  if (!metrics.Open()) return FinishObservability(1);
+  if (!metrics.Open(Options().metrics_path)) return FinishObservability(1);
   std::vector<SweepPoint> points;
   points.reserve(x_values.size());
   for (const std::string& x : x_values) {

@@ -59,8 +59,10 @@ int main(int argc, char** argv) {
   config.synthetic.noise_percent = 5;
   if (!bench::ParseCommonFlags(argc, argv, &config)) return 2;
   const int runs = RunsFromEnv(20);
-  bench::MetricsCsv metrics;
-  if (!metrics.Open()) return bench::FinishObservability(1);
+  MetricsCsv metrics;
+  if (!metrics.Open(bench::Options().metrics_path)) {
+    return bench::FinishObservability(1);
+  }
 
   const std::vector<ProtocolFactory> factories = {
       DefaultFactory(AlgorithmKind::kTag),

@@ -26,8 +26,10 @@ int main(int argc, char** argv) {
   base.synthetic.noise_percent = 5;
   if (!bench::ParseCommonFlags(argc, argv, &base)) return 2;
   const int runs = RunsFromEnv(20);
-  bench::MetricsCsv metrics;
-  if (!metrics.Open()) return bench::FinishObservability(1);
+  MetricsCsv metrics;
+  if (!metrics.Open(bench::Options().metrics_path)) {
+    return bench::FinishObservability(1);
+  }
 
   std::printf("%-10s %-9s %-9s %14s %14s %14s %10s\n", "figure",
               "loss_pct", "algo", "mean_rank_err", "max_rank_err",

@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
   const std::vector<AlgorithmKind> algorithms = {
       AlgorithmKind::kIq, AlgorithmKind::kHbc, AlgorithmKind::kPos};
 
-  bench::MetricsCsv metrics;
-  if (!metrics.Open()) return bench::FinishObservability(1);
+  MetricsCsv metrics;
+  if (!metrics.Open(bench::Options().metrics_path)) {
+    return bench::FinishObservability(1);
+  }
   std::printf("%-14s %-9s %-5s %-9s %14s %14s %14s %10s\n", "figure",
               "loss_pct", "arq", "algo", "mean_rank_err", "max_rank_err",
               "max_energy_mJ", "packets");

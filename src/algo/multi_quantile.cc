@@ -1,27 +1,30 @@
 #include "algo/multi_quantile.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
 namespace wsnq {
 
-MultiIqProtocol::MultiIqProtocol(std::vector<int64_t> ks, int64_t range_min,
-                                 int64_t range_max, const WireFormat& wire,
-                                 const Options& options)
-    : ks_(std::move(ks)),
-      range_min_(range_min),
-      range_max_(range_max),
-      wire_(wire),
-      options_(options) {
-  WSNQ_CHECK(!ks_.empty());
-  for (size_t i = 0; i < ks_.size(); ++i) {
-    WSNQ_CHECK_GE(ks_[i], 1);
-    if (i > 0) WSNQ_CHECK_LT(ks_[i - 1], ks_[i]);
+namespace {
+
+/// Every rank runs with IQ's default window history, initial width and
+/// hints.
+constexpr IqProtocol::Options kRankOptions{};
+
+}  // namespace
+
+MultiIqProtocol::MultiIqProtocol(const std::vector<int64_t>& ks,
+                                 int64_t range_min, int64_t range_max,
+                                 const WireFormat& wire)
+    : range_min_(range_min), range_max_(range_max), wire_(wire) {
+  WSNQ_CHECK(!ks.empty());
+  states_.resize(ks.size());
+  for (size_t i = 0; i < ks.size(); ++i) {
+    WSNQ_CHECK_GE(ks[i], 1);
+    if (i > 0) WSNQ_CHECK_LT(ks[i - 1], ks[i]);
+    states_[i].k = ks[i];
   }
-  states_.resize(ks_.size());
-  for (size_t i = 0; i < ks_.size(); ++i) states_[i].k = ks_[i];
 }
 
 void MultiIqProtocol::Initialize(Network* net,
@@ -30,30 +33,16 @@ void MultiIqProtocol::Initialize(Network* net,
   // every rank at once.
   net->FloodFromRoot(wire_.counter_bits);
   const std::vector<int64_t> collected =
-      CollectKSmallest(net, values, ks_.back(), wire_, &ws_);
+      CollectKSmallest(net, values, states_.back().k, wire_, &ws_);
   if (!net->lossy()) {
-    WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), ks_.back());
+    WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), states_.back().k);
   }
-  for (RankState& state : states_) {
-    state.filter =
-        BestEffortKth(collected, state.k, (range_min_ + range_max_) / 2);
-    state.counts =
-        CountsFromCollection(collected, state.filter, net->num_sensors());
-    int64_t xi = 1;
-    const int64_t known =
-        std::min(state.k, static_cast<int64_t>(collected.size()));
-    if (known >= 2) {
-      const double spread = static_cast<double>(
-          collected[static_cast<size_t>(known - 1)] - collected[0]);
-      xi = std::max<int64_t>(
-          1, static_cast<int64_t>(std::llround(
-                 options_.init_c * spread / static_cast<double>(known))));
-    }
-    state.xi_l = -xi;
-    state.xi_r = xi;
+  for (IqRankState& state : states_) {
+    InitIqRank(collected, net->num_sensors(), (range_min_ + range_max_) / 2,
+               kRankOptions.init_strategy, kRankOptions.init_c, &state);
   }
   // Filter broadcast: (v_k, xi) tuple per rank.
-  net->FloodFromRoot(static_cast<int64_t>(ks_.size()) * 2 *
+  net->FloodFromRoot(static_cast<int64_t>(states_.size()) * 2 *
                      wire_.value_bits);
 }
 
@@ -80,13 +69,13 @@ void MultiIqProtocol::RunRound(Network* net,
   // it falls in, found by binary search in the ranks sorted by filter.
   // Sort by filter, not rank index: under loss the filters need not be
   // monotone in k.
-  const size_t m = ks_.size();
+  const size_t m = states_.size();
   const size_t vertices = static_cast<size_t>(net->num_vertices());
   by_filter_.clear();
   int64_t reach_below = 0;  // max -xi_l: a window reaches this far below
   int64_t reach_above = 0;  // max xi_r
   for (size_t j = 0; j < m; ++j) {
-    const RankState& state = states_[j];
+    const IqRankState& state = states_[j];
     by_filter_.push_back({state.filter, state.filter + state.xi_l,
                           state.filter + state.xi_r, static_cast<int>(j)});
     reach_below = std::max(reach_below, -state.xi_l);
@@ -238,7 +227,7 @@ void MultiIqProtocol::RunRound(Network* net,
           reach_above,
           static_cast<int64_t>(m),
           4 * wire_.counter_bits,
-          options_.use_hints ? wire_.value_bits : 0};
+          kRankOptions.use_hints ? wire_.value_bits : 0};
   RunConvergecastWave(net, ops);
   prev_values_ = values_by_vertex;
 
@@ -254,144 +243,29 @@ void MultiIqProtocol::RunRound(Network* net,
   for (const auto& [j, x] : windows[root]) {
     root_windows_[static_cast<size_t>(j)].push_back(x);
   }
-  std::vector<int64_t> new_filters(m);
-  bool any_changed = false;
+  // Each rank resolves on its own; a refinement reads only the values.
+  const int64_t n = net->num_sensors();
+  int64_t changed = 0;
   for (size_t j = 0; j < m; ++j) {
+    IqRankState& state = states_[j];
     std::vector<int64_t>& window = root_windows_[j];
     std::sort(window.begin(), window.end());
-    const int64_t q = ResolveRank(net, values_by_vertex, &states_[j], window,
-                                  root_aggs_[j]);
-    new_filters[j] = q;
-    any_changed |= (q != states_[j].filter);
+    ApplyCounters(root_aggs_[j], n, &state.counts);
+    const IqResolution resolution =
+        ResolveIqRank(window, root_aggs_[j], n, range_min_, range_max_,
+                      kRankOptions.use_hints, &state);
+    int64_t q = resolution.quantile;
+    if (resolution.refine) {
+      q = RunIqRefinement(net, values_by_vertex, resolution.request, wire_,
+                          &ws_, &state);
+      ++refinements_;
+    }
+    changed += (q != state.filter);
+    PushIqDelta(q - state.filter, kRankOptions.m, &state);
+    state.filter = q;
   }
-
   // One filter broadcast carries every changed rank.
-  if (any_changed) {
-    int64_t changed = 0;
-    for (size_t j = 0; j < m; ++j) {
-      changed += (new_filters[j] != states_[j].filter);
-    }
-    net->FloodFromRoot(changed * (8 + wire_.value_bits));
-  }
-  for (size_t j = 0; j < m; ++j) {
-    PushDelta(&states_[j], new_filters[j] - states_[j].filter);
-    states_[j].filter = new_filters[j];
-  }
-}
-
-int64_t MultiIqProtocol::ResolveRank(Network* net,
-                                     const std::vector<int64_t>& values,
-                                     RankState* state,
-                                     const std::vector<int64_t>& window,
-                                     const ValidationAgg& validation) {
-  const int64_t n = net->num_sensors();
-  const int64_t k = state->k;
-  const int64_t v_old = state->filter;
-  ApplyCounters(validation, n, &state->counts);
-  RootCounts& counts = state->counts;
-
-  if (CountsValid(counts, k)) return v_old;
-
-  if (counts.l >= k) {  // moved down (§4.2.2)
-    const int64_t a_below = std::count_if(
-        window.begin(), window.end(),
-        [&](int64_t x) { return x < v_old; });
-    if (counts.l - a_below < k) {
-      const int64_t idx = a_below - (counts.l - k) - 1;
-      WSNQ_CHECK_GE(idx, 0);
-      WSNQ_CHECK_LT(idx, a_below);
-      const int64_t q = window[static_cast<size_t>(idx)];
-      counts.e = std::count(window.begin(), window.end(), q);
-      counts.l = (counts.l - a_below) +
-                 std::count_if(window.begin(), window.end(),
-                               [&](int64_t x) { return x < q; });
-      counts.g = n - counts.l - counts.e;
-      return q;
-    }
-    const int64_t f1 = counts.l - k - a_below + 1;
-    const int64_t hi = v_old + state->xi_l - 1;
-    int64_t lo = range_min_;
-    if (options_.use_hints && validation.has_hint) {
-      const int64_t d = std::max(v_old - validation.min_changed,
-                                 validation.max_changed - v_old);
-      lo = std::max(range_min_, v_old - d);
-    }
-    net->FloodFromRoot(wire_.fcount_bits + 2 * wire_.bound_bits);
-    const std::vector<int64_t> r = TopFConvergecast(
-        net, values, lo, hi, f1, /*largest=*/true, wire_, &ws_);
-    ++refinements_;
-    if (!net->lossy()) {
-      WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f1);
-    }
-    // Under loss the response can come back short: clamp the rank into
-    // it, or keep the filter when nothing arrived at all.
-    const size_t take = std::min(r.size(), static_cast<size_t>(f1));
-    const int64_t q = r.empty() ? v_old : r[r.size() - take];
-    const int64_t below_window = counts.l - a_below;
-    counts.e = std::count(r.begin(), r.end(), q);
-    counts.l = below_window -
-               std::count_if(r.begin(), r.end(),
-                             [&](int64_t x) { return x >= q; });
-    counts.g = n - counts.l - counts.e;
-    return q;
-  }
-
-  // moved up
-  const int64_t a_above = std::count_if(
-      window.begin(), window.end(), [&](int64_t x) { return x > v_old; });
-  if (counts.l + counts.e + a_above >= k) {
-    const int64_t rank_in_gt = k - counts.l - counts.e;
-    const int64_t idx =
-        static_cast<int64_t>(window.size()) - a_above + rank_in_gt - 1;
-    WSNQ_CHECK_GE(idx, 0);
-    WSNQ_CHECK_LT(idx, static_cast<int64_t>(window.size()));
-    const int64_t q = window[static_cast<size_t>(idx)];
-    const int64_t below_gt = counts.l + counts.e;
-    counts.e = std::count(window.begin(), window.end(), q);
-    counts.l = below_gt + std::count_if(window.begin(), window.end(),
-                                        [&](int64_t x) {
-                                          return x > v_old && x < q;
-                                        });
-    counts.g = n - counts.l - counts.e;
-    return q;
-  }
-  const int64_t f2 = k - (counts.l + counts.e) - a_above;
-  const int64_t lo = v_old + state->xi_r + 1;
-  int64_t hi = range_max_;
-  if (options_.use_hints && validation.has_hint) {
-    const int64_t d = std::max(v_old - validation.min_changed,
-                               validation.max_changed - v_old);
-    hi = std::min(range_max_, v_old + d);
-  }
-  net->FloodFromRoot(wire_.fcount_bits + 2 * wire_.bound_bits);
-  const std::vector<int64_t> r = TopFConvergecast(
-      net, values, lo, hi, f2, /*largest=*/false, wire_, &ws_);
-  ++refinements_;
-  if (!net->lossy()) {
-    WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f2);
-  }
-  const size_t take = std::min(r.size(), static_cast<size_t>(f2));
-  const int64_t q = r.empty() ? v_old : r[take - 1];
-  const int64_t below_region = counts.l + counts.e + a_above;
-  counts.e = std::count(r.begin(), r.end(), q);
-  counts.l = below_region + std::count_if(r.begin(), r.end(),
-                                          [&](int64_t x) { return x < q; });
-  counts.g = n - counts.l - counts.e;
-  return q;
-}
-
-void MultiIqProtocol::PushDelta(RankState* state, int64_t delta) {
-  state->deltas.push_back(delta);
-  while (static_cast<int>(state->deltas.size()) > options_.m - 1) {
-    state->deltas.pop_front();
-  }
-  int64_t lo = 0, hi = 0;
-  for (int64_t d : state->deltas) {
-    lo = std::min(lo, d);
-    hi = std::max(hi, d);
-  }
-  state->xi_l = lo;
-  state->xi_r = hi;
+  if (changed > 0) net->FloodFromRoot(changed * (8 + wire_.value_bits));
 }
 
 }  // namespace wsnq

@@ -25,37 +25,28 @@
 #define WSNQ_ALGO_MULTI_QUANTILE_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "algo/common.h"
+#include "algo/iq.h"
 #include "algo/protocol.h"
 
 namespace wsnq {
 
-/// IQ-style continuous tracking of several ranks at once.
+/// IQ-style continuous tracking of several ranks at once. Every rank runs
+/// IQ's root-side steps (algo/iq.h) with IQ's default options.
 class MultiIqProtocol {
  public:
-  struct Options {
-    /// History length m of the per-rank window adaptation (Eq. 1-2).
-    int m = 6;
-    /// Initial window half-width scaling constant c (§4.2.1).
-    double init_c = 1.0;
-    /// Use one-value max-distance hints per rank.
-    bool use_hints = true;
-  };
-
   /// Tracks each 1-based rank in `ks` (must be strictly increasing).
-  MultiIqProtocol(std::vector<int64_t> ks, int64_t range_min,
-                  int64_t range_max, const WireFormat& wire,
-                  const Options& options);
+  MultiIqProtocol(const std::vector<int64_t>& ks, int64_t range_min,
+                  int64_t range_max, const WireFormat& wire);
 
   /// Executes round `round`; same driving contract as QuantileProtocol.
   void RunRound(Network* net, const std::vector<int64_t>& values_by_vertex,
                 int64_t round);
 
-  int num_ranks() const { return static_cast<int>(ks_.size()); }
-  int64_t rank(int i) const { return ks_[static_cast<size_t>(i)]; }
+  int num_ranks() const { return static_cast<int>(states_.size()); }
+  int64_t rank(int i) const { return states_[static_cast<size_t>(i)].k; }
   /// The exact rank(i)-th smallest value after the most recent round.
   int64_t quantile(int i) const {
     return states_[static_cast<size_t>(i)].filter;
@@ -64,30 +55,12 @@ class MultiIqProtocol {
   int64_t refinements_last_round() const { return refinements_; }
 
  private:
-  /// Per-rank continuous state (the fields of a single IQ instance).
-  struct RankState {
-    int64_t k = 0;
-    int64_t filter = 0;
-    int64_t xi_l = 0;
-    int64_t xi_r = 0;
-    RootCounts counts;
-    std::deque<int64_t> deltas;
-  };
-
   void Initialize(Network* net, const std::vector<int64_t>& values);
-  /// Root-side IQ case analysis for one rank, given its sorted window
-  /// multiset and the validation hint; may run one refinement.
-  int64_t ResolveRank(Network* net, const std::vector<int64_t>& values,
-                      RankState* state, const std::vector<int64_t>& window,
-                      const ValidationAgg& validation);
-  void PushDelta(RankState* state, int64_t delta);
 
-  std::vector<int64_t> ks_;
   int64_t range_min_;
   int64_t range_max_;
   WireFormat wire_;
-  Options options_;
-  std::vector<RankState> states_;
+  std::vector<IqRankState> states_;
   std::vector<int64_t> prev_values_;
   /// Network::tree_epoch() the state was initialized under; a mismatch
   /// (fault-driven tree repair) forces re-initialization.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "net/wave.h"
 #include "core/scenario.h"
@@ -188,9 +189,16 @@ StatusOr<std::vector<SweepPointResult>> RunSweep(
     const std::vector<SweepPoint>& points,
     const std::vector<ProtocolFactory>& factories, int runs) {
   ScenarioCache cache;  // one cache spanning every sweep point
+  std::vector<SimulationConfig> configs;
+  configs.reserve(points.size());
+  for (const SweepPoint& point : points) configs.push_back(point.config);
   std::vector<SweepPointResult> results;
   results.reserve(points.size());
-  for (const SweepPoint& point : points) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    const SweepPoint& point = points[i];
+    // Earlier points' deployments that no point from here on can hit go,
+    // so the sweep holds only what is still ahead of it.
+    cache.Evict(std::span<const SimulationConfig>(configs).subspan(i), runs);
     StatusOr<std::vector<AlgorithmAggregate>> aggregates =
         RunExperimentImpl(point.config, factories, runs, &cache);
     if (!aggregates.ok()) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "algo/registry.h"
+#include "util/status.h"
+#include "util/trace.h"
 
 namespace wsnq {
 
@@ -44,6 +46,49 @@ void PrintMetricsCsvRows(std::FILE* out, const std::string& figure,
                  dataset.c_str(), x_name.c_str(), x_value.c_str(),
                  aggregate.label.c_str(), row.metric.c_str(), row.value);
   }
+}
+
+MetricsCsv::~MetricsCsv() {
+  if (out_ != nullptr) std::fclose(out_);
+}
+
+bool MetricsCsv::Open(const std::string& path) {
+  if (path.empty()) return true;
+  out_ = std::fopen(path.c_str(), "w");
+  if (out_ == nullptr) {
+    std::fprintf(stderr, "cannot open --metrics=%s\n", path.c_str());
+    return false;
+  }
+  PrintMetricsCsvHeader(out_);
+  return true;
+}
+
+void MetricsCsv::AddRows(const std::string& figure,
+                         const std::string& dataset,
+                         const std::string& x_name,
+                         const std::string& x_value,
+                         const AlgorithmAggregate& aggregate) {
+  if (out_ == nullptr) return;
+  PrintMetricsCsvRows(out_, figure, dataset, x_name, x_value, aggregate);
+}
+
+int FinishObservability(int code, const std::string& profile_path) {
+  const Status trace_status = trace::FlushGlobalSink();
+  if (!trace_status.ok()) {
+    std::fprintf(stderr, "trace write failed: %s\n",
+                 trace_status.ToString().c_str());
+    if (code == 0) code = 1;
+  }
+  prof::ReportToStderr();
+  if (!profile_path.empty() && profile_path != "true") {
+    const Status profile_status = prof::WriteJson(profile_path);
+    if (!profile_status.ok()) {
+      std::fprintf(stderr, "profile write failed: %s\n",
+                   profile_status.ToString().c_str());
+      if (code == 0) code = 1;
+    }
+  }
+  return code;
 }
 
 void PrintTimingFooter(const std::string& figure, int threads, int runs,

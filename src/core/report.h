@@ -37,6 +37,33 @@ void PrintMetricsCsvRows(std::FILE* out, const std::string& figure,
                          const std::string& x_value,
                          const AlgorithmAggregate& aggregate);
 
+/// The --metrics=PATH long-format CSV (docs/observability.md). Open()
+/// creates the file with its header and AddRows() appends one aggregate's
+/// metrics; both do nothing when no path was given.
+class MetricsCsv {
+ public:
+  MetricsCsv() = default;
+  MetricsCsv(const MetricsCsv&) = delete;
+  MetricsCsv& operator=(const MetricsCsv&) = delete;
+  ~MetricsCsv();
+
+  /// Returns false (after printing to stderr) if `path` cannot be made.
+  bool Open(const std::string& path);
+
+  void AddRows(const std::string& figure, const std::string& dataset,
+               const std::string& x_name, const std::string& x_value,
+               const AlgorithmAggregate& aggregate);
+
+ private:
+  std::FILE* out_ = nullptr;
+};
+
+/// The epilogue of every command-line run: writes the trace file (if
+/// --trace installed a sink) and the profile report to stderr, plus its
+/// JSON at `profile_path` unless that is empty or "true". Returns `code`,
+/// downgraded to 1 when a write failed.
+int FinishObservability(int code, const std::string& profile_path);
+
 /// Prints a wall-clock timing footer to stderr (stderr so that stdout
 /// stays byte-identical across thread counts — the aggregate rows are
 /// deterministic, the timing is not).

@@ -182,6 +182,31 @@ void ScenarioCache::Merge(const RunStage& stage) {
   }
 }
 
+void ScenarioCache::Evict(std::span<const SimulationConfig> ahead,
+                          int runs) {
+  std::vector<std::string> roots;
+  for (const SimulationConfig& config : ahead) {
+    roots.push_back(internal::PressureTraceKey(config));
+    for (int run = 0; run < runs; ++run) {
+      roots.push_back(internal::SyntheticDeploymentKey(config, run));
+    }
+  }
+  // At a '|' boundary only: "rho=0x1.18p+5" is a string prefix of
+  // "rho=0x1.18p+50".
+  const auto extends_a_root = [&](const std::string& key) {
+    return std::any_of(roots.begin(), roots.end(), [&](const std::string& r) {
+      return key.starts_with(r) &&
+             (key.size() == r.size() || key[r.size()] == '|');
+    });
+  };
+  sealed_ = false;
+  AssertPreparePhase();
+  std::erase_if(entries_, [&](const auto& entry) {
+    return !extends_a_root(entry.first);
+  });
+  sealed_ = true;
+}
+
 StatusOr<Scenario> ScenarioCache::Build(const SimulationConfig& config,
                                         int run) {
   return BuildScenario(config, run, this);

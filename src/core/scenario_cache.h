@@ -44,6 +44,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -106,7 +107,8 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 ///
 /// Prepare may be called again (RunSweep does, once per sweep point): the
 /// cache unseals, builds whatever the new point misses, and reseals, so
-/// cache hits span sweep points whose topology slice is invariant.
+/// cache hits span sweep points whose topology slice is invariant. Between
+/// points, Evict frees what no point still ahead can hit.
 class ScenarioCache final : public internal::ArtifactStore {
  public:
   ScenarioCache() = default;
@@ -125,6 +127,14 @@ class ScenarioCache final : public internal::ArtifactStore {
   /// that run. `pool` must not be running a ParallelFor of its own.
   Status Prepare(const SimulationConfig& config, int runs,
                  ThreadPool* pool = nullptr);
+
+  /// Frees every artifact that no run [0, runs) of a config in `ahead` can
+  /// look up. Each artifact key extends a run's SyntheticDeploymentKey or a
+  /// config's PressureTraceKey at a '|' boundary, so a kept key is one
+  /// that extends such a root. hits() and misses() do not change, and nor
+  /// do those of later Prepare and Build calls for configs in `ahead`.
+  /// Called on Prepare's thread between experiments, never during one.
+  void Evict(std::span<const SimulationConfig> ahead, int runs);
 
   /// BuildScenario(config, run, this): assembles run `run`'s scenario from
   /// cached artifacts (plus a fresh per-run Network / fault plan). Safe to

@@ -139,8 +139,7 @@ void QuantileBroker::AdvanceStream(Stream* stream) {
     }
     stream->protocol = std::make_unique<MultiIqProtocol>(
         stream->ranks, stream->scenario.source->range_min(),
-        stream->scenario.source->range_max(), options_.base.wire,
-        MultiIqProtocol::Options{});
+        stream->scenario.source->range_max(), options_.base.wire);
     stream->local_round = 0;
     stream->ranks_dirty = false;
     ++stream->rebuilds;

@@ -1,7 +1,9 @@
 // IQ protocol behaviour (§4.2): zero-refinement tracking when the quantile
 // drifts inside Xi, the at-most-one-refinement guarantee, window adaptation
 // (Eq. 1-2), the in-A rank arithmetic with duplicates, and the f1/f2
-// bounded refinement responses.
+// bounded refinement responses. The root-side steps IQ shares with MultiIQ
+// (ResolveIqRank, CompleteIqRefinement) are pinned directly, including the
+// best-effort fallbacks only message loss reaches.
 
 #include <algorithm>
 #include <vector>
@@ -205,6 +207,155 @@ TEST(IqTest, RefinementChargesOnlyRequestedValues) {
   iq.RunRound(&net, values, 1);
   EXPECT_EQ(iq.quantile(), OracleKth(SensorValues(net, values), 15));
   EXPECT_EQ(iq.refinements_last_round(), 1);
+}
+
+// --- Shared root-side steps -------------------------------------------------
+
+constexpr int64_t kPopulation = 10;
+
+/// Rank 5 of 10 sensors, filter 50, window [40, 60], root counts (l, e, g)
+/// as ApplyCounters left them this round.
+IqRankState MakeRank5(int64_t l, int64_t e) {
+  IqRankState state;
+  state.k = 5;
+  state.filter = 50;
+  state.xi_l = -10;
+  state.xi_r = 10;
+  state.counts = {l, e, kPopulation - l - e};
+  return state;
+}
+
+ValidationAgg Hint(int64_t min_changed, int64_t max_changed) {
+  ValidationAgg agg;
+  agg.has_hint = true;
+  agg.min_changed = min_changed;
+  agg.max_changed = max_changed;
+  return agg;
+}
+
+void ExpectCounts(const IqRankState& state, int64_t l, int64_t e) {
+  EXPECT_EQ(state.counts.l, l);
+  EXPECT_EQ(state.counts.e, e);
+  EXPECT_EQ(state.counts.g, kPopulation - l - e);
+}
+
+TEST(IqResolveTest, ValidCountsKeepTheFilter) {
+  IqRankState state = MakeRank5(/*l=*/4, /*e=*/1);
+  const IqResolution r =
+      ResolveIqRank({45, 55}, ValidationAgg{}, kPopulation, 0, 1023, true,
+                    &state);
+  EXPECT_FALSE(r.refine);
+  EXPECT_EQ(r.quantile, 50);
+  ExpectCounts(state, 4, 1);
+}
+
+TEST(IqResolveTest, AnswerReadFromWindowBelowFilter) {
+  // Three sensors lie under the window and 42, 45, 45 inside it below the
+  // filter, so the 5th smallest is 45.
+  IqRankState state = MakeRank5(/*l=*/6, /*e=*/1);
+  const IqResolution r = ResolveIqRank({42, 45, 45, 55}, ValidationAgg{},
+                                       kPopulation, 0, 1023, true, &state);
+  EXPECT_FALSE(r.refine);
+  EXPECT_EQ(r.quantile, 45);
+  ExpectCounts(state, /*l=*/4, /*e=*/2);
+}
+
+TEST(IqResolveTest, AnswerReadFromWindowAboveFilter) {
+  // l + e = 3 at or below the filter; 52, 53, 53, 58 are inside the window
+  // above it, so the 5th smallest is the first 53.
+  IqRankState state = MakeRank5(/*l=*/2, /*e=*/1);
+  const IqResolution r = ResolveIqRank({44, 52, 53, 53, 58}, ValidationAgg{},
+                                       kPopulation, 0, 1023, true, &state);
+  EXPECT_FALSE(r.refine);
+  EXPECT_EQ(r.quantile, 53);
+  ExpectCounts(state, /*l=*/4, /*e=*/2);
+}
+
+TEST(IqResolveTest, RefinementBelowWindow) {
+  // l = 8 with one lt value in A: 7 sensors under the window, and the 5th
+  // smallest is the f1 = l - k - a + 1 = 3rd largest of them.
+  struct Case {
+    ValidationAgg validation;
+    bool use_hints;
+    int64_t lo;
+  };
+  const Case cases[] = {
+      {ValidationAgg{}, true, 0},  // no hint: the universe floor
+      {Hint(20, 52), false, 0},    // hint ignored
+      {Hint(20, 52), true, 20},    // d = 30 below the filter
+      {Hint(-100, 52), true, 0},   // clamped to range_min
+  };
+  for (const Case& c : cases) {
+    IqRankState state = MakeRank5(/*l=*/8, /*e=*/1);
+    const IqResolution r = ResolveIqRank({45}, c.validation, kPopulation, 0,
+                                         1023, c.use_hints, &state);
+    ASSERT_TRUE(r.refine);
+    EXPECT_TRUE(r.request.below);
+    EXPECT_EQ(r.request.lo, c.lo);
+    EXPECT_EQ(r.request.hi, 39);
+    EXPECT_EQ(r.request.f, 3);
+    EXPECT_EQ(r.request.base, 7);
+    ExpectCounts(state, 8, 1);  // left for the completion
+  }
+}
+
+TEST(IqResolveTest, RefinementAboveWindow) {
+  // l + e = 1 and one gt value in A: the 5th smallest is the
+  // f2 = k - (l + e) - b = 3rd smallest above the window.
+  struct Case {
+    ValidationAgg validation;
+    bool use_hints;
+    int64_t hi;
+  };
+  const Case cases[] = {
+      {ValidationAgg{}, true, 1023},  // no hint: the universe ceiling
+      {Hint(45, 80), false, 1023},    // hint ignored
+      {Hint(45, 80), true, 80},       // d = 30 above the filter
+      {Hint(45, 5000), true, 1023},   // clamped to range_max
+  };
+  for (const Case& c : cases) {
+    IqRankState state = MakeRank5(/*l=*/1, /*e=*/0);
+    const IqResolution r = ResolveIqRank({55}, c.validation, kPopulation, 0,
+                                         1023, c.use_hints, &state);
+    ASSERT_TRUE(r.refine);
+    EXPECT_FALSE(r.request.below);
+    EXPECT_EQ(r.request.lo, 61);
+    EXPECT_EQ(r.request.hi, c.hi);
+    EXPECT_EQ(r.request.f, 3);
+    EXPECT_EQ(r.request.base, 2);
+  }
+}
+
+TEST(IqResolveTest, CompletionFromFullShortAndEmptyResponses) {
+  // Full responses carry f values plus the cutoff's duplicates; under loss
+  // a response can come back short (the rank clamps into it) or empty (the
+  // filter stays).
+  const IqRefinement below{.below = true, .lo = 0, .hi = 39, .f = 3,
+                           .base = 7};
+  const IqRefinement above{.below = false, .lo = 61, .hi = 1023, .f = 3,
+                           .base = 2};
+  struct Case {
+    const char* name;
+    const IqRefinement& request;
+    std::vector<int64_t> response;
+    int64_t q, l, e;
+  };
+  const Case cases[] = {
+      {"below full", below, {33, 33, 36, 39}, 33, 3, 2},
+      {"below short", below, {36, 39}, 36, 5, 1},
+      {"below empty", below, {}, 50, 7, 0},
+      {"above full", above, {61, 64, 64, 70}, 64, 3, 2},
+      {"above short", above, {61}, 61, 2, 1},
+      {"above empty", above, {}, 50, 2, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    IqRankState state = MakeRank5(/*l=*/0, /*e=*/0);
+    EXPECT_EQ(CompleteIqRefinement(c.request, c.response, kPopulation,
+                                   &state),
+              c.q);
+    ExpectCounts(state, c.l, c.e);
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ using testing_support::MakeRandomNetwork;
 TEST(MultiIqTest, AllRanksExactUnderDrift) {
   Network net = MakeRandomNetwork(60, 81);
   const std::vector<int64_t> ks = {15, 30, 45};  // quartiles of 60
-  MultiIqProtocol protocol(ks, 0, 4095, WireFormat{}, {});
+  MultiIqProtocol protocol(ks, 0, 4095, WireFormat{});
   Rng rng(3);
   std::vector<int64_t> values(static_cast<size_t>(net.num_vertices()), 0);
   for (int v = 1; v < net.num_vertices(); ++v) {
@@ -62,7 +62,7 @@ TEST(MultiIqTest, AllRanksExactUnderDrift) {
 
 TEST(MultiIqTest, ExactUnderChaosToo) {
   Network net = MakeRandomNetwork(40, 83);
-  MultiIqProtocol protocol({4, 20, 37}, 0, 255, WireFormat{}, {});
+  MultiIqProtocol protocol({4, 20, 37}, 0, 255, WireFormat{});
   Rng rng(7);
   std::vector<int64_t> values(static_cast<size_t>(net.num_vertices()), 0);
   for (int64_t round = 0; round <= 25; ++round) {
@@ -81,10 +81,10 @@ TEST(MultiIqTest, ExactUnderChaosToo) {
 
 TEST(MultiIqTest, SingleRankMatchesPlainIq) {
   // With one rank the shared machinery degenerates to plain IQ: same
-  // answers on the same workload.
+  // answers and the same refinements on the same workload.
   Network net_multi = MakeRandomNetwork(50, 85);
   Network net_plain = MakeRandomNetwork(50, 85);
-  MultiIqProtocol multi({25}, 0, 2047, WireFormat{}, {});
+  MultiIqProtocol multi({25}, 0, 2047, WireFormat{});
   IqProtocol plain(25, 0, 2047, WireFormat{}, {});
   Rng rng(9);
   std::vector<int64_t> values(static_cast<size_t>(net_multi.num_vertices()),
@@ -98,6 +98,8 @@ TEST(MultiIqTest, SingleRankMatchesPlainIq) {
     multi.RunRound(&net_multi, values, round);
     plain.RunRound(&net_plain, values, round);
     ASSERT_EQ(multi.quantile(0), plain.quantile()) << "round " << round;
+    ASSERT_EQ(multi.refinements_last_round(), plain.refinements_last_round())
+        << "round " << round;
     for (int v = 1; v < net_multi.num_vertices(); ++v) {
       values[static_cast<size_t>(v)] += rng.UniformInt(-4, 4);
     }
@@ -133,7 +135,7 @@ TEST(MultiIqTest, SharedConvergecastBeatsIndependentQueries) {
   };
 
   Network shared_net = MakeRandomNetwork(50, 87);
-  MultiIqProtocol shared(ks, 0, 2047, WireFormat{}, {});
+  MultiIqProtocol shared(ks, 0, 2047, WireFormat{});
   std::vector<int64_t> values(static_cast<size_t>(shared_net.num_vertices()),
                               0);
   for (int64_t t = 0; t <= 40; ++t) {
@@ -198,7 +200,7 @@ void AppendAccounting(const AccountingCase& c, std::string* out) {
   }
   WaveExecutor executor(/*threads=*/2, /*target_parts=*/6);
   if (c.executor) net.set_wave_executor(&executor);
-  MultiIqProtocol protocol(c.ks, 0, 4095, WireFormat{}, {});
+  MultiIqProtocol protocol(c.ks, 0, 4095, WireFormat{});
   Rng rng(13);
   std::vector<int64_t> values(static_cast<size_t>(net.num_vertices()), 0);
   for (int v = 1; v < net.num_vertices(); ++v) {

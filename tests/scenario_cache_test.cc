@@ -8,6 +8,7 @@
 // lookup phase are race-checked.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -337,6 +338,86 @@ TEST(ScenarioCacheTest, SyntheticDeploymentSharedAcrossWorkloadSweep) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(&a.value().network->graph(), &b.value().network->graph());
   EXPECT_NE(a.value().source, b.value().source);
+}
+
+/// Prepares `configs` in order the way RunSweep does, evicting before each
+/// point when `evict` is set.
+void PrepareSweep(const std::vector<SimulationConfig>& configs, int runs,
+                  bool evict, ScenarioCache* cache) {
+  for (size_t i = 0; i < configs.size(); ++i) {
+    if (evict) {
+      cache->Evict(std::span<const SimulationConfig>(configs).subspan(i),
+                   runs);
+    }
+    ASSERT_TRUE(cache->Prepare(configs[i], runs).ok());
+  }
+}
+
+TEST(ScenarioCacheTest, EvictionFreesDeploymentsNoPointAheadUses) {
+  // fig6-style: every point has its own deployments, so once a point is
+  // done nothing ahead can hit them.
+  std::vector<SimulationConfig> configs;
+  for (int n : {16, 24, 32}) {
+    configs.push_back(SmallSynthetic());
+    configs.back().num_sensors = n;
+  }
+  constexpr int kRuns = 3;
+  ScenarioCache kept;
+  PrepareSweep(configs, kRuns, /*evict=*/false, &kept);
+  ScenarioCache evicted;
+  PrepareSweep(configs, kRuns, /*evict=*/true, &evicted);
+  ScenarioCache last_only;
+  ASSERT_TRUE(last_only.Prepare(configs.back(), kRuns).ok());
+  EXPECT_EQ(evicted.size(), last_only.size());
+  EXPECT_EQ(kept.size(), 3 * last_only.size());
+  EXPECT_EQ(evicted.hits(), kept.hits());
+  EXPECT_EQ(evicted.misses(), kept.misses());
+}
+
+TEST(ScenarioCacheTest, EvictionKeepsWhatSharedDeploymentSweepsHit) {
+  // fig7 (period), fig8 (noise) and fig10 (pressure skip) points share
+  // their deployments: eviction must cost no hit and free nothing a later
+  // point builds on.
+  std::vector<std::vector<SimulationConfig>> sweeps(3);
+  for (double period : {8.0, 125.0, 500.0}) {
+    sweeps[0].push_back(SmallSynthetic());
+    sweeps[0].back().synthetic.period_rounds = period;
+  }
+  for (double noise : {0.0, 5.0, 40.0}) {
+    sweeps[1].push_back(SmallSynthetic());
+    sweeps[1].back().synthetic.noise_percent = noise;
+  }
+  for (int skip : {0, 1, 3}) {
+    sweeps[2].push_back(SmallPressure());
+    sweeps[2].back().pressure.max_skip = 3;
+    sweeps[2].back().pressure.skip = skip;
+  }
+  for (size_t i = 0; i < sweeps.size(); ++i) {
+    const std::string context = "sweep " + std::to_string(i);
+    ScenarioCache kept;
+    PrepareSweep(sweeps[i], 2, /*evict=*/false, &kept);
+    ScenarioCache evicted;
+    PrepareSweep(sweeps[i], 2, /*evict=*/true, &evicted);
+    EXPECT_EQ(evicted.hits(), kept.hits()) << context;
+    EXPECT_EQ(evicted.misses(), kept.misses()) << context;
+    EXPECT_EQ(evicted.size(), kept.size()) << context;
+  }
+}
+
+TEST(ScenarioCacheTest, EvictionMatchesKeysOnlyAtFieldBoundaries) {
+  // 35 m renders as rho=0x1.18p+5, a string prefix of 35 * 2^45 m's
+  // rho=0x1.18p+50: the far-reaching deployment must still go.
+  SimulationConfig near = SmallSynthetic();
+  near.radio_range = 35.0;
+  SimulationConfig far = SmallSynthetic();
+  far.radio_range = 35.0 * 0x1p45;
+  ScenarioCache cache;
+  ASSERT_TRUE(cache.Prepare(far, 1).ok());
+  ASSERT_GT(cache.size(), 0);
+  const std::vector<SimulationConfig> ahead = {near};
+  cache.Evict(ahead, 1);
+  EXPECT_EQ(cache.size(), 0);
+  EXPECT_TRUE(cache.sealed());
 }
 
 TEST(ScenarioCacheTest, ConcurrentSealedBuildsAreRaceFreeAndIdentical) {

@@ -82,46 +82,6 @@ int ListAlgorithms() {
   return 0;
 }
 
-/// Writes the trace file (if --trace installed a sink) and the profile
-/// report; returns `code`, downgraded to 1 when the trace write failed.
-int Finish(int code, const std::string& profile_path) {
-  const Status trace_status = trace::FlushGlobalSink();
-  if (!trace_status.ok()) {
-    std::fprintf(stderr, "trace write failed: %s\n",
-                 trace_status.ToString().c_str());
-    if (code == 0) code = 1;
-  }
-  prof::ReportToStderr();
-  if (!profile_path.empty() && profile_path != "true") {
-    const Status profile_status = prof::WriteJson(profile_path);
-    if (!profile_status.ok()) {
-      std::fprintf(stderr, "profile write failed: %s\n",
-                   profile_status.ToString().c_str());
-      if (code == 0) code = 1;
-    }
-  }
-  return code;
-}
-
-/// Writes the long-format metrics CSV for the aggregates of one
-/// invocation.
-int WriteMetricsCsv(const std::string& path,
-                    const std::vector<AlgorithmAggregate>& aggregates,
-                    const std::string& dataset, const std::string& x_name,
-                    const std::string& x_value) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open --metrics=%s\n", path.c_str());
-    return 1;
-  }
-  PrintMetricsCsvHeader(out);
-  for (const AlgorithmAggregate& agg : aggregates) {
-    PrintMetricsCsvRows(out, "sim", dataset, x_name, x_value, agg);
-  }
-  std::fclose(out);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,15 +223,14 @@ int main(int argc, char** argv) {
       ScopedSerialPhase fold_phase(FoldPhase());
       trace::GlobalSink()->Fold(trace_buffer);
     }
-    if (!metrics_path.empty()) {
-      AlgorithmAggregate aggregate;
-      aggregate.label = AlgorithmName(kinds[0]);
-      aggregate.metrics = result.metrics;
-      if (WriteMetricsCsv(metrics_path, {aggregate}, dataset, "trail",
-                          "0") != 0) {
-        return Finish(1, profile_path);
-      }
+    MetricsCsv metrics;
+    if (!metrics.Open(metrics_path)) {
+      return FinishObservability(1, profile_path);
     }
+    AlgorithmAggregate aggregate;
+    aggregate.label = AlgorithmName(kinds[0]);
+    aggregate.metrics = result.metrics;
+    metrics.AddRows("sim", dataset, "trail", "0", aggregate);
     std::printf(csv ? "round,quantile,hotspot_mj,packets,values,refinements,"
                       "rank_error\n"
                     : "%-6s %-10s %-12s %-8s %-8s %-12s %s\n",
@@ -287,19 +246,18 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.refinements),
                   static_cast<long long>(r.rank_error));
     }
-    return Finish(0, profile_path);
+    return FinishObservability(0, profile_path);
   }
 
   auto aggregates = RunExperiment(config, kinds, runs);
   if (!aggregates.ok()) {
     std::fprintf(stderr, "%s\n", aggregates.status().ToString().c_str());
-    return Finish(1, profile_path);
+    return FinishObservability(1, profile_path);
   }
-  if (!metrics_path.empty()) {
-    if (WriteMetricsCsv(metrics_path, aggregates.value(), dataset, "runs",
-                        std::to_string(runs)) != 0) {
-      return Finish(1, profile_path);
-    }
+  MetricsCsv metrics;
+  if (!metrics.Open(metrics_path)) return FinishObservability(1, profile_path);
+  for (const AlgorithmAggregate& agg : aggregates.value()) {
+    metrics.AddRows("sim", dataset, "runs", std::to_string(runs), agg);
   }
   std::printf(csv ? "algo,max_energy_mj,lifetime_rounds,packets,values,"
                     "refinements,mean_rank_error,errors\n"
@@ -315,5 +273,5 @@ int main(int argc, char** argv) {
                 agg.values.mean(), agg.refinements.mean(),
                 agg.rank_error.mean(), static_cast<long long>(agg.errors));
   }
-  return Finish(0, profile_path);
+  return FinishObservability(0, profile_path);
 }
