@@ -191,22 +191,30 @@ TEST(ParallelDeterminism, ScenarioCacheNeverChangesAggregates) {
 TEST(ParallelDeterminism, SubtreeParallelNeverChangesAggregates) {
   // In-run subtree parallelism (net/wave.h): every grid case — reliable,
   // lossy, bursty+ARQ, churn — must agree field-exactly with the classic
-  // serial wave loop for every thread count. On the reliable medium the
-  // engine records sends per part and replays them serially; with a
-  // transport policy it falls back to the serial loop. The split must be
-  // invisible in every aggregate bit.
+  // serial wave loop for every thread count and every registered protocol
+  // (the paper's six plus the ablations, the adaptive switch, and the
+  // approximate tier). On the reliable medium the engine records sends per
+  // part and replays them serially; with a transport policy it falls back
+  // to the serial loop. The split must be invisible in every aggregate bit.
   constexpr int kRuns = 4;
+  std::vector<AlgorithmKind> algorithms = PaperAlgorithms();
+  for (AlgorithmKind kind :
+       {AlgorithmKind::kPosSr, AlgorithmKind::kHbcNtb,
+        AlgorithmKind::kSnapshot, AlgorithmKind::kSwitching,
+        AlgorithmKind::kQdigest, AlgorithmKind::kGk,
+        AlgorithmKind::kSampling}) {
+    algorithms.push_back(kind);
+  }
   for (GridCase& grid_case : ConfigGrid()) {
     grid_case.config.threads = 1;
     grid_case.config.subtree_parallel = false;
-    auto serial = RunExperiment(grid_case.config, PaperAlgorithms(), kRuns);
+    auto serial = RunExperiment(grid_case.config, algorithms, kRuns);
     ASSERT_TRUE(serial.ok())
         << grid_case.name << ": " << serial.status().ToString();
     grid_case.config.subtree_parallel = true;
     for (int threads : {1, 2, 8}) {
       grid_case.config.threads = threads;
-      auto subtree =
-          RunExperiment(grid_case.config, PaperAlgorithms(), kRuns);
+      auto subtree = RunExperiment(grid_case.config, algorithms, kRuns);
       ASSERT_TRUE(subtree.ok())
           << grid_case.name << ": " << subtree.status().ToString();
       ExpectAggregatesIdentical(
