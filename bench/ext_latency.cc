@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
                                    scenario.value().source->range_min(),
                                    scenario.value().source->range_max(),
                                    config.wire);
-      const SimulationResult result = RunSimulation(
-          scenario.value(), protocol.get(), config.rounds, true);
+      const SimulationResult result =
+          RunSimulation(scenario.value(), protocol.get(), config.rounds);
       if (result.errors != 0) {
         return Status::Internal("exactness violated!");
       }

@@ -80,8 +80,8 @@ int main() {
     auto protocol =
         MakeProtocol(kind, scenario.value().k, corrupted.range_min(),
                      corrupted.range_max(), config.wire);
-    const SimulationResult result = RunSimulation(
-        scenario.value(), protocol.get(), config.rounds, /*check_oracle=*/true);
+    const SimulationResult result =
+        RunSimulation(scenario.value(), protocol.get(), config.rounds);
     if (result.errors != 0) {
       std::fprintf(stderr, "%s returned a wrong quantile!\n",
                    protocol->name());

@@ -46,8 +46,7 @@ int main() {
            {static_cast<QuantileProtocol*>(&iq),
             static_cast<QuantileProtocol*>(&hbc)}) {
         const SimulationResult result =
-            RunSimulation(scenario.value(), protocol, config.rounds,
-                          /*check_oracle=*/true);
+            RunSimulation(scenario.value(), protocol, config.rounds);
         if (result.errors != 0) {
           std::fprintf(stderr, "%s wrong!\n", protocol->name());
           return 1;

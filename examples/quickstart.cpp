@@ -39,8 +39,7 @@ int main() {
                       scenario.value().source->range_max(), config.wire,
                       IqProtocol::Options{});
   const SimulationResult result = RunSimulation(
-      scenario.value(), &protocol, config.rounds, /*check_oracle=*/true,
-      /*keep_trail=*/true);
+      scenario.value(), &protocol, config.rounds, /*keep_trail=*/true);
 
   for (const RoundRecord& record : result.trail) {
     if (record.round % 10 != 0) continue;

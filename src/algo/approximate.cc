@@ -21,6 +21,98 @@ uint64_t Mix(uint64_t z) {
   return z ^ (z >> 31);
 }
 
+// Wave Ops of the three summaries (net/wave.h). Row v holds vertex v's
+// summary of its subtree, rebuilt every wave from v's own value and its
+// children's rows; the rows themselves persist across rounds.
+
+/// Every node uplinks its compressed q-digest.
+struct QdigestOps {
+  Network* net;
+  const std::vector<int64_t>& values;
+  int64_t range_min;
+  int height;
+  int64_t compression;
+  const WireFormat& wire;
+  std::vector<QDigest>& rows;
+
+  WaveSend Process(int v, WaveLane& /*lane*/) {
+    QDigest& digest = rows[static_cast<size_t>(v)];
+    digest = QDigest(height, compression);
+    if (!net->is_root(v)) {
+      digest.Add(values[static_cast<size_t>(v)] - range_min);
+    }
+    for (int child : net->tree().children[static_cast<size_t>(v)]) {
+      digest.Merge(rows[static_cast<size_t>(child)]);
+    }
+    digest.Compress();
+    WaveSend send;
+    send.payload_bits = digest.EncodedBits(wire);
+    return send;
+  }
+  void OnLost(int v) {
+    rows[static_cast<size_t>(v)] = QDigest(height, compression);
+  }
+};
+
+/// Every node uplinks its GK summary.
+struct GkOps {
+  Network* net;
+  const std::vector<int64_t>& values;
+  double epsilon;
+  const WireFormat& wire;
+  std::vector<GkSummary>& rows;
+
+  WaveSend Process(int v, WaveLane& /*lane*/) {
+    GkSummary& summary = rows[static_cast<size_t>(v)];
+    summary = GkSummary(epsilon);
+    if (!net->is_root(v)) summary.Add(values[static_cast<size_t>(v)]);
+    for (int child : net->tree().children[static_cast<size_t>(v)]) {
+      summary.Merge(rows[static_cast<size_t>(child)]);
+    }
+    WaveSend send;
+    send.payload_bits = summary.EncodedBits(wire);
+    return send;
+  }
+  void OnLost(int v) { rows[static_cast<size_t>(v)] = GkSummary(epsilon); }
+};
+
+/// A node uplinks the sampled values of its subtree iff there are any.
+/// `seed` already carries the round, so the draw is a pure function of
+/// (seed, round, vertex).
+struct SamplingOps {
+  Network* net;
+  const std::vector<int64_t>& values;
+  double probability;
+  uint64_t seed;
+  const WireFormat& wire;
+  std::vector<std::vector<int64_t>>& rows;
+
+  WaveSend Process(int v, WaveLane& /*lane*/) {
+    std::vector<int64_t>& sample = rows[static_cast<size_t>(v)];
+    if (!net->is_root(v)) {
+      const double u =
+          static_cast<double>(
+              Mix(seed ^ (static_cast<uint64_t>(v) << 20)) >> 11) *
+          0x1.0p-53;
+      if (u < probability) sample.push_back(values[static_cast<size_t>(v)]);
+    }
+    for (int child : net->tree().children[static_cast<size_t>(v)]) {
+      // Copied into this row's own buffer (see MergeSortedInto).
+      auto& theirs = rows[static_cast<size_t>(child)];
+      sample.insert(sample.end(), theirs.begin(), theirs.end());
+      theirs.clear();
+    }
+    WaveSend send;
+    if (!sample.empty()) {
+      send.payload_bits =
+          static_cast<int64_t>(sample.size()) * wire.value_bits;
+      send.value_count = static_cast<int64_t>(sample.size());
+    }
+    return send;
+  }
+  void OnLost(int v) { rows[static_cast<size_t>(v)].clear(); }
+};
+
 }  // namespace
 
 QdigestProtocol::QdigestProtocol(int64_t k, int64_t range_min,
@@ -40,27 +132,19 @@ void QdigestProtocol::RunRound(Network* net,
                                int64_t round) {
   if (round == 0) net->FloodFromRoot(wire_.counter_bits);
 
-  const SpanningTree& tree = net->tree();
-  std::vector<QDigest> inbox(
-      static_cast<size_t>(net->num_vertices()),
-      QDigest(height_, options_.compression));
-  net->NoteConvergecast();
-  for (int v : tree.post_order) {
-    QDigest& digest = inbox[static_cast<size_t>(v)];
-    if (!net->is_root(v)) {
-      digest.Add(values_by_vertex[static_cast<size_t>(v)] - range_min_);
-    }
-    for (int child : tree.children[static_cast<size_t>(v)]) {
-      digest.Merge(inbox[static_cast<size_t>(child)]);
-    }
-    digest.Compress();
-    if (!net->is_root(v)) {
-      if (!net->SendToParent(v, digest.EncodedBits(wire_))) {
-        digest = QDigest(height_, options_.compression);  // lost uplink
-      }
-    }
+  const size_t n = static_cast<size_t>(net->num_vertices());
+  if (rows_.size() != n) {
+    rows_.assign(n, QDigest(height_, options_.compression));
   }
-  const QDigest& root_digest = inbox[static_cast<size_t>(net->root())];
+  QdigestOps ops{net,
+                 values_by_vertex,
+                 range_min_,
+                 height_,
+                 options_.compression,
+                 wire_,
+                 rows_};
+  RunConvergecastWave(net, ops);
+  const QDigest& root_digest = rows_[static_cast<size_t>(net->root())];
   if (root_digest.total() == 0) return;  // total loss; keep the old answer
   quantile_ = range_min_ + root_digest.QueryQuantile(k_);
   last_error_bound_ = root_digest.ErrorBound();
@@ -81,26 +165,11 @@ void GkProtocol::RunRound(Network* net,
                           int64_t round) {
   if (round == 0) net->FloodFromRoot(wire_.counter_bits);
 
-  const SpanningTree& tree = net->tree();
-  std::vector<GkSummary> inbox(
-      static_cast<size_t>(net->num_vertices()),
-      GkSummary(options_.epsilon));
-  net->NoteConvergecast();
-  for (int v : tree.post_order) {
-    GkSummary& summary = inbox[static_cast<size_t>(v)];
-    if (!net->is_root(v)) {
-      summary.Add(values_by_vertex[static_cast<size_t>(v)]);
-    }
-    for (int child : tree.children[static_cast<size_t>(v)]) {
-      summary.Merge(inbox[static_cast<size_t>(child)]);
-    }
-    if (!net->is_root(v)) {
-      if (!net->SendToParent(v, summary.EncodedBits(wire_))) {
-        summary = GkSummary(options_.epsilon);
-      }
-    }
-  }
-  const GkSummary& root_summary = inbox[static_cast<size_t>(net->root())];
+  const size_t n = static_cast<size_t>(net->num_vertices());
+  if (rows_.size() != n) rows_.assign(n, GkSummary(options_.epsilon));
+  GkOps ops{net, values_by_vertex, options_.epsilon, wire_, rows_};
+  RunConvergecastWave(net, ops);
+  const GkSummary& root_summary = rows_[static_cast<size_t>(net->root())];
   if (root_summary.total() == 0) return;
   quantile_ = root_summary.QueryQuantile(k_);
   counts_.l = k_ - 1;  // best effort: the summary's band center
@@ -126,37 +195,16 @@ void SamplingProtocol::RunRound(Network* net,
                                 int64_t round) {
   if (round == 0) net->FloodFromRoot(wire_.counter_bits);
 
-  const SpanningTree& tree = net->tree();
-  std::vector<std::vector<int64_t>> inbox(
-      static_cast<size_t>(net->num_vertices()));
-  net->NoteConvergecast();
-  for (int v : tree.post_order) {
-    std::vector<int64_t>& sample = inbox[static_cast<size_t>(v)];
-    if (!net->is_root(v)) {
-      const double u =
-          static_cast<double>(
-              Mix(options_.seed ^ (static_cast<uint64_t>(v) << 20) ^
-                  static_cast<uint64_t>(round)) >>
-              11) *
-          0x1.0p-53;
-      if (u < options_.probability) {
-        sample.push_back(values_by_vertex[static_cast<size_t>(v)]);
-      }
-    }
-    for (int child : tree.children[static_cast<size_t>(v)]) {
-      auto& theirs = inbox[static_cast<size_t>(child)];
-      sample.insert(sample.end(), theirs.begin(), theirs.end());
-      theirs.clear();
-    }
-    if (!net->is_root(v) && !sample.empty()) {
-      net->CountValues(static_cast<int64_t>(sample.size()));
-      if (!net->SendToParent(
-              v, static_cast<int64_t>(sample.size()) * wire_.value_bits)) {
-        sample.clear();
-      }
-    }
-  }
-  std::vector<int64_t>& sample = inbox[static_cast<size_t>(net->root())];
+  std::vector<std::vector<int64_t>>& rows =
+      ws_.PrepareSets(static_cast<size_t>(net->num_vertices()));
+  SamplingOps ops{net,
+                  values_by_vertex,
+                  options_.probability,
+                  options_.seed ^ static_cast<uint64_t>(round),
+                  wire_,
+                  rows};
+  RunConvergecastWave(net, ops);
+  std::vector<int64_t>& sample = rows[static_cast<size_t>(net->root())];
   if (sample.empty()) return;
   std::sort(sample.begin(), sample.end());
   // Rank k among |N| maps to rank ~ k * |sample| / |N| in the sample.

@@ -56,6 +56,8 @@ class QdigestProtocol : public QuantileProtocol {
   int64_t quantile_ = 0;
   int64_t last_error_bound_ = 0;
   RootCounts counts_;
+  /// Per-vertex digest rows of the convergecast wave.
+  std::vector<QDigest> rows_;
 };
 
 /// Per-round Greenwald-Khanna summary aggregation.
@@ -82,6 +84,8 @@ class GkProtocol : public QuantileProtocol {
   Options options_;
   int64_t quantile_ = 0;
   RootCounts counts_;
+  /// Per-vertex summary rows of the convergecast wave.
+  std::vector<GkSummary> rows_;
 };
 
 /// Per-round Bernoulli sampling (probabilistic).
@@ -111,6 +115,7 @@ class SamplingProtocol : public QuantileProtocol {
   Options options_;
   int64_t quantile_ = 0;
   RootCounts counts_;
+  WaveWorkspace ws_;
 };
 
 }  // namespace wsnq

@@ -163,15 +163,12 @@ struct TopFOps {
 
 }  // namespace
 
-std::vector<int64_t> CollectKSmallest(Network* net,
-                                      const std::vector<int64_t>& values,
-                                      int64_t k, const WireFormat& wire,
-                                      WaveWorkspace* ws) {
+const std::vector<int64_t>& CollectKSmallest(
+    Network* net, const std::vector<int64_t>& values, int64_t k,
+    const WireFormat& wire, WaveWorkspace* ws) {
   WSNQ_CHECK_GE(k, 1);
   const size_t n = static_cast<size_t>(net->num_vertices());
   WSNQ_CHECK_EQ(values.size(), n);
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
   std::vector<std::vector<int64_t>>& inbox = ws->PrepareSets(n);
   CollectKOps ops{net, values, k, wire, inbox};
   RunConvergecastWave(net, ops);
@@ -185,33 +182,27 @@ std::vector<int64_t> CollectKSmallest(Network* net,
   return result;
 }
 
-std::vector<int64_t> RangeValuesConvergecast(
+const std::vector<int64_t>& RangeValuesConvergecast(
     Network* net, const std::vector<int64_t>& values, int64_t lo, int64_t hi,
     const WireFormat& wire, WaveWorkspace* ws) {
   const size_t n = static_cast<size_t>(net->num_vertices());
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
   std::vector<std::vector<int64_t>>& inbox = ws->PrepareSets(n);
   RangeValuesOps ops{net, values, lo, hi, wire, inbox};
   RunConvergecastWave(net, ops);
-  std::vector<int64_t> result = inbox[static_cast<size_t>(net->root())];
+  const std::vector<int64_t>& result = inbox[static_cast<size_t>(net->root())];
   WSNQ_DCHECK(std::is_sorted(result.begin(), result.end()));
   return result;
 }
 
-std::vector<int64_t> TopFConvergecast(Network* net,
-                                      const std::vector<int64_t>& values,
-                                      int64_t lo, int64_t hi, int64_t f,
-                                      bool largest, const WireFormat& wire,
-                                      WaveWorkspace* ws) {
+const std::vector<int64_t>& TopFConvergecast(
+    Network* net, const std::vector<int64_t>& values, int64_t lo, int64_t hi,
+    int64_t f, bool largest, const WireFormat& wire, WaveWorkspace* ws) {
   WSNQ_CHECK_GE(f, 1);
   const size_t n = static_cast<size_t>(net->num_vertices());
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
   std::vector<std::vector<int64_t>>& inbox = ws->PrepareSets(n);
   TopFOps ops{net, values, lo, hi, f, largest, wire, inbox};
   RunConvergecastWave(net, ops);
-  std::vector<int64_t> result = inbox[static_cast<size_t>(net->root())];
+  std::vector<int64_t>& result = inbox[static_cast<size_t>(net->root())];
   // The wave already ordered the root's row most-extreme-first (lost
   // subtrees only drop whole rows), so ascending order is a reversal away.
   if (largest) std::reverse(result.begin(), result.end());

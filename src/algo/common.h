@@ -2,12 +2,14 @@
 // of POS-style filters, validation counter aggregation, hints, and the
 // TAG-style k-limited collection used for initialization.
 //
-// All convergecast helpers run on the net/wave.h engine: per-vertex state
-// lives in struct-of-arrays rows of a WaveWorkspace (flat arrays indexed by
-// vertex, the ValuesView idiom extended to protocol state), so a wave is a
-// tight linear sweep over post order — serially, or partitioned over
-// subtrees when a WaveExecutor is installed. Each protocol owns one
-// workspace; row capacities persist across rounds, so steady-state waves
+// All convergecast helpers run on the net/wave.h engine, and so does every
+// protocol's uplink: nothing under src/ outside src/net/ sends on its own
+// (wsnq-lint rule raw-send). Per-vertex state lives in struct-of-arrays
+// rows of a WaveWorkspace (flat arrays indexed by vertex, the ValuesView
+// idiom extended to protocol state), so a wave is a tight linear sweep over
+// post order — serially, or partitioned over subtrees when a WaveExecutor
+// is installed. Each protocol owns one workspace and passes it to every
+// helper; row capacities persist across rounds, so steady-state waves
 // allocate nothing.
 
 #ifndef WSNQ_ALGO_COMMON_H_
@@ -132,7 +134,7 @@ class WaveWorkspace {
   std::vector<std::vector<AggEntry>>& PrepareAggEntries(size_t n);
 
   /// `n` value-collection rows, all cleared. Used by the k-limited /
-  /// range / top-f collections.
+  /// range / top-f collections and SAMPLE's sample rows.
   std::vector<std::vector<int64_t>>& PrepareSets(size_t n);
 
   /// A second, independent family of value rows for window membership (IQ /
@@ -264,10 +266,13 @@ inline bool CountsConserved(const RootCounts& counts, int64_t population) {
 /// smallest, so the root learns the exact multiplicity of every value up to
 /// rank k. Communication is accounted on `net`; returns the root's sorted
 /// multiset (size >= min(k, |N|)).
-std::vector<int64_t> CollectKSmallest(Network* net,
-                                      const std::vector<int64_t>& values,
-                                      int64_t k, const WireFormat& wire,
-                                      WaveWorkspace* ws = nullptr);
+///
+/// The three value-collection waves (this one, RangeValuesConvergecast and
+/// TopFConvergecast) return the root's row of `ws`'s value rows itself: the
+/// reference stays valid only until the next collection wave on `ws`.
+const std::vector<int64_t>& CollectKSmallest(
+    Network* net, const std::vector<int64_t>& values, int64_t k,
+    const WireFormat& wire, WaveWorkspace* ws);
 
 /// Root counts (l, e, g) of `threshold` given a collection that is complete
 /// up to and including every duplicate of the k-th smallest value.
@@ -289,22 +294,18 @@ inline int64_t BestEffortKth(const std::vector<int64_t>& sorted, int64_t k,
 /// ("request all values in the remaining interval directly", §3.2).
 /// Intermediate nodes merge sorted runs; accounting goes through `net`.
 /// Returns the root's sorted multiset.
-std::vector<int64_t> RangeValuesConvergecast(Network* net,
-                                             const std::vector<int64_t>& values,
-                                             int64_t lo, int64_t hi,
-                                             const WireFormat& wire,
-                                             WaveWorkspace* ws = nullptr);
+const std::vector<int64_t>& RangeValuesConvergecast(
+    Network* net, const std::vector<int64_t>& values, int64_t lo, int64_t hi,
+    const WireFormat& wire, WaveWorkspace* ws);
 
 /// IQ-style bounded refinement response (§4.2.2): collects the `f` largest
 /// (or smallest) measurements inside [lo, hi]; intermediate nodes drop
 /// everything beyond the f-th extreme, but forward all duplicates of the
 /// f-th extreme so the root can account for ties. Returns the root's sorted
 /// (ascending) multiset.
-std::vector<int64_t> TopFConvergecast(Network* net,
-                                      const std::vector<int64_t>& values,
-                                      int64_t lo, int64_t hi, int64_t f,
-                                      bool largest, const WireFormat& wire,
-                                      WaveWorkspace* ws = nullptr);
+const std::vector<int64_t>& TopFConvergecast(
+    Network* net, const std::vector<int64_t>& values, int64_t lo, int64_t hi,
+    int64_t f, bool largest, const WireFormat& wire, WaveWorkspace* ws);
 
 /// Runs a POS-style transition convergecast. For every sensor vertex v,
 /// `classify(v)` returns its (from, to) region pair; region changes are
@@ -317,9 +318,7 @@ ValidationAgg TransitionConvergecast(Network* net,
                                      const std::vector<int64_t>& values,
                                      const WireFormat& wire, int hint_values,
                                      ClassifyFn&& classify,
-                                     WaveWorkspace* ws = nullptr) {
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
+                                     WaveWorkspace* ws) {
   std::vector<ValidationAgg>& inbox =
       ws->PrepareAgg(static_cast<size_t>(net->num_vertices()));
   struct Ops {

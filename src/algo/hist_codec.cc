@@ -45,101 +45,7 @@ int64_t SparseHistogram::Total() const {
 }
 
 int64_t SparseHistogram::EncodedBits(const WireFormat& wire) const {
-  const int64_t dense =
-      static_cast<int64_t>(counts_.size()) * wire.bucket_count_bits;
-  const int64_t sparse = static_cast<int64_t>(NonEmpty()) *
-                         (wire.bucket_count_bits + wire.bucket_index_bits);
-  return std::min(dense, sparse);
-}
-
-namespace {
-
-/// Wire size of one arena bucket row: the cheaper of dense and compressed.
-int64_t EncodedRowBits(const int64_t* row, size_t buckets,
-                       const WireFormat& wire) {
-  int64_t nonempty = 0;
-  for (size_t i = 0; i < buckets; ++i) nonempty += (row[i] != 0);
-  const int64_t dense =
-      static_cast<int64_t>(buckets) * wire.bucket_count_bits;
-  const int64_t sparse =
-      nonempty * (wire.bucket_count_bits + wire.bucket_index_bits);
-  return std::min(dense, sparse);
-}
-
-/// Ops for HistogramConvergecast over the workspace arena: bucket rows are
-/// zeroed lazily on first touch, children with a zero total are skipped
-/// without reading their rows.
-struct HistogramOps {
-  Network* net;
-  const std::vector<int64_t>& values;
-  const BucketLayout& layout;
-  const WireFormat& wire;
-  WaveWorkspace* ws;
-
-  WaveSend Process(int v, WaveLane& /*lane*/) {
-    int64_t total = 0;
-    int64_t* row = nullptr;
-    if (!net->is_root(v)) {
-      const int64_t value = values[static_cast<size_t>(v)];
-      if (layout.Contains(value)) {
-        row = ws->HistRow(v);
-        row[layout.BucketOf(value)] += 1;
-        total = 1;
-      }
-    }
-    const size_t buckets = ws->hist_buckets();
-    for (int child : net->tree().children[static_cast<size_t>(v)]) {
-      const int64_t child_total = ws->HistTotal(child);
-      if (child_total == 0) continue;
-      if (row == nullptr) row = ws->HistRow(v);
-      const int64_t* child_row = ws->HistRow(child);
-      for (size_t b = 0; b < buckets; ++b) row[b] += child_row[b];
-      total += child_total;
-    }
-    ws->HistTotal(v) = total;
-    WaveSend send;
-    if (total > 0) send.payload_bits = EncodedRowBits(row, buckets, wire);
-    return send;
-  }
-  void OnLost(int v) {
-    ws->HistTotal(v) = 0;  // lost uplink: the parent never merges the row
-  }
-};
-
-}  // namespace
-
-SparseHistogram HistogramConvergecast(Network* net,
-                                      const std::vector<int64_t>& values,
-                                      const BucketLayout& layout,
-                                      const WireFormat& wire,
-                                      WaveWorkspace* ws) {
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
-  const size_t buckets = static_cast<size_t>(layout.num_buckets());
-  ws->PrepareHist(static_cast<size_t>(net->num_vertices()), buckets);
-  HistogramOps ops{net, values, layout, wire, ws};
-  RunConvergecastWave(net, ops);
-  const int root = net->root();
-  SparseHistogram result(layout.num_buckets());
-  if (ws->HistTotal(root) > 0) {
-    const int64_t* row = ws->HistRow(root);
-    for (size_t b = 0; b < buckets; ++b) {
-      if (row[b] != 0) result.Add(static_cast<int>(b), row[b]);
-    }
-  }
-#ifndef NDEBUG
-  if (!net->lossy()) {
-    // Conservation through the convergecast: the root's histogram holds
-    // exactly one count per in-range sensor measurement.
-    int64_t expect = 0;
-    for (int v : net->tree().post_order) {
-      if (!net->is_root(v) && layout.Contains(values[static_cast<size_t>(v)]))
-        ++expect;
-    }
-    WSNQ_DCHECK_EQ(result.Total(), expect);
-  }
-#endif
-  return result;
+  return EncodedRowBits(counts_.data(), counts_.size(), wire);
 }
 
 }  // namespace wsnq

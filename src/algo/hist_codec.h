@@ -11,10 +11,12 @@
 #ifndef WSNQ_ALGO_HIST_CODEC_H_
 #define WSNQ_ALGO_HIST_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "algo/common.h"
+#include "util/check.h"
 
 namespace wsnq {
 
@@ -88,17 +90,101 @@ class SparseHistogram {
   std::vector<int64_t> counts_;
 };
 
-/// Aggregates a histogram of all measurements inside `layout`'s interval at
-/// the root: every node buckets its own value (if in range), merges its
-/// children's histograms, and transmits iff the merged histogram is
-/// non-empty, paying the (possibly compressed) encoding size. Bucket rows
-/// live in `ws`'s flat histogram arena (lazily zeroed; zero-total subtrees
-/// are skipped entirely), so the wave is a linear sweep over post order.
+/// Wire size of one histogram row of `buckets` counts: the cheaper of the
+/// dense and compressed encodings (SparseHistogram::EncodedBits on a flat
+/// row).
+inline int64_t EncodedRowBits(const int64_t* row, size_t buckets,
+                              const WireFormat& wire) {
+  int64_t nonempty = 0;
+  for (size_t i = 0; i < buckets; ++i) nonempty += (row[i] != 0);
+  const int64_t dense =
+      static_cast<int64_t>(buckets) * wire.bucket_count_bits;
+  const int64_t sparse =
+      nonempty * (wire.bucket_count_bits + wire.bucket_index_bits);
+  return std::min(dense, sparse);
+}
+
+/// Aggregates at the root a histogram of `num_buckets` buckets over all
+/// measurements: `bucket_of(value)` names a value's bucket in
+/// [0, num_buckets), or -1 when the value is not counted. Every node
+/// buckets its own value, merges its children's histograms, and transmits
+/// iff the merged histogram is non-empty, paying the (possibly compressed)
+/// encoding size. Bucket rows live in `ws`'s flat histogram arena (lazily
+/// zeroed; zero-total subtrees are skipped entirely), so the wave is a
+/// linear sweep over post order. A BucketLayout caller passes
+/// `Contains(v) ? BucketOf(v) : -1`.
+template <typename BucketOfFn>
 SparseHistogram HistogramConvergecast(Network* net,
                                       const std::vector<int64_t>& values,
-                                      const BucketLayout& layout,
+                                      int num_buckets, BucketOfFn&& bucket_of,
                                       const WireFormat& wire,
-                                      WaveWorkspace* ws = nullptr);
+                                      WaveWorkspace* ws) {
+  const size_t buckets = static_cast<size_t>(num_buckets);
+  ws->PrepareHist(static_cast<size_t>(net->num_vertices()), buckets);
+  struct Ops {
+    Network* net;
+    const std::vector<int64_t>& values;
+    BucketOfFn& bucket_of;
+    size_t buckets;
+    const WireFormat& wire;
+    WaveWorkspace* ws;
+
+    WaveSend Process(int v, WaveLane& /*lane*/) {
+      // A local bound: row stores could alias the member, which would keep
+      // the merge loop below from vectorizing.
+      const size_t width = buckets;
+      int64_t total = 0;
+      int64_t* row = nullptr;
+      if (!net->is_root(v)) {
+        const int bucket = bucket_of(values[static_cast<size_t>(v)]);
+        if (bucket >= 0) {
+          WSNQ_DCHECK_LT(static_cast<size_t>(bucket), width);
+          row = ws->HistRow(v);
+          row[bucket] += 1;
+          total = 1;
+        }
+      }
+      for (int child : net->tree().children[static_cast<size_t>(v)]) {
+        const int64_t child_total = ws->HistTotal(child);
+        if (child_total == 0) continue;
+        if (row == nullptr) row = ws->HistRow(v);
+        const int64_t* child_row = ws->HistRow(child);
+        for (size_t b = 0; b < width; ++b) row[b] += child_row[b];
+        total += child_total;
+      }
+      ws->HistTotal(v) = total;
+      WaveSend send;
+      if (total > 0) send.payload_bits = EncodedRowBits(row, width, wire);
+      return send;
+    }
+    void OnLost(int v) {
+      ws->HistTotal(v) = 0;  // lost uplink: the parent never merges the row
+    }
+  };
+  Ops ops{net, values, bucket_of, buckets, wire, ws};
+  RunConvergecastWave(net, ops);
+  const int root = net->root();
+  SparseHistogram result(num_buckets);
+  if (ws->HistTotal(root) > 0) {
+    const int64_t* row = ws->HistRow(root);
+    for (size_t b = 0; b < buckets; ++b) {
+      if (row[b] != 0) result.Add(static_cast<int>(b), row[b]);
+    }
+  }
+#ifndef NDEBUG
+  if (!net->lossy()) {
+    // Conservation through the convergecast: the root's histogram holds
+    // exactly one count per counted sensor measurement.
+    int64_t expect = 0;
+    for (int v : net->tree().post_order) {
+      if (!net->is_root(v) && bucket_of(values[static_cast<size_t>(v)]) >= 0)
+        ++expect;
+    }
+    WSNQ_DCHECK_EQ(result.Total(), expect);
+  }
+#endif
+  return result;
+}
 
 }  // namespace wsnq
 

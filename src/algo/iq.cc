@@ -26,7 +26,7 @@ void IqProtocol::Initialize(Network* net,
   // TAG collection, like POS (§4.2.1: "Since POS uses TAG during
   // initialization, we will use the same algorithm").
   net->FloodFromRoot(wire_.counter_bits);
-  const std::vector<int64_t> collected =
+  const std::vector<int64_t>& collected =
       CollectKSmallest(net, values, state_.k, wire_, &ws_);
   if (!net->lossy()) {
     WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), state_.k);
@@ -332,7 +332,7 @@ int64_t RunIqRefinement(Network* net, const std::vector<int64_t>& values,
                         WaveWorkspace* ws, IqRankState* state) {
   // Request: f plus the interval bounds.
   net->FloodFromRoot(wire.fcount_bits + 2 * wire.bound_bits);
-  const std::vector<int64_t> response =
+  const std::vector<int64_t>& response =
       TopFConvergecast(net, values, request.lo, request.hi, request.f,
                        /*largest=*/request.below, wire, ws);
   if (!net->lossy()) {

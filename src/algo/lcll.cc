@@ -232,62 +232,17 @@ void LcllProtocol::Reestablish(Network* net,
   net->FloodFromRoot(2 * wire_.bound_bits);
   ++refinements_;
 
-  // Full-network histogram convergecast over the b + 2 logical buckets,
-  // accumulated in the workspace's flat histogram arena (rows are zeroed
-  // lazily; a subtree whose total is zero is never read, so lost subtrees
-  // cost nothing).
-  const size_t logical = static_cast<size_t>(buckets_) + 2;
-  ws_.PrepareHist(static_cast<size_t>(net->num_vertices()), logical);
-  struct Ops {
-    LcllProtocol* self;
-    Network* net;
-    const std::vector<int64_t>& values;
-    WaveWorkspace* ws;
-    size_t logical;
-    int64_t entry_bits;
-    int64_t dense_bits;
-
-    WaveSend Process(int v, WaveLane& /*lane*/) {
-      int64_t total = 0;
-      int64_t* row = nullptr;
-      if (!net->is_root(v)) {
-        row = ws->HistRow(v);
-        ++row[static_cast<size_t>(
-            self->BucketId(values[static_cast<size_t>(v)]) + 1)];
-        total = 1;
-      }
-      for (int child : net->tree().children[static_cast<size_t>(v)]) {
-        const int64_t child_total = ws->HistTotal(child);
-        if (child_total == 0) continue;
-        const int64_t* theirs = ws->HistRow(child);
-        if (row == nullptr) row = ws->HistRow(v);
-        for (size_t i = 0; i < logical; ++i) row[i] += theirs[i];
-        total += child_total;
-      }
-      ws->HistTotal(v) = total;
-      WaveSend send;
-      if (!net->is_root(v)) {
-        int64_t nonempty = 0;
-        for (size_t i = 0; i < logical; ++i) nonempty += (row[i] != 0);
-        send.payload_bits = std::min(nonempty * entry_bits, dense_bits);
-      }
-      return send;
-    }
-    void OnLost(int v) { ws->HistTotal(v) = 0; }
-  };
-  Ops ops{this,
-          net,
-          values,
-          &ws_,
-          logical,
-          wire_.bucket_index_bits + wire_.bucket_count_bits,
-          static_cast<int64_t>(logical) * wire_.bucket_count_bits};
-  RunConvergecastWave(net, ops);
-  const int64_t* root_hist = ws_.HistRow(net->root());
-  below_ = root_hist[0];
-  above_ = root_hist[logical - 1];
-  hist_.assign(root_hist + 1, root_hist + (logical - 1));
-  WSNQ_CHECK_EQ(static_cast<int>(hist_.size()), buckets_);
+  // Full-network histogram convergecast over the b + 2 logical buckets:
+  // bucket 0 is everything below the window, b + 1 everything above it.
+  const SparseHistogram h = HistogramConvergecast(
+      net, values, buckets_ + 2,
+      [this](int64_t v) { return BucketId(v) + 1; }, wire_, &ws_);
+  below_ = h.count(0);
+  above_ = h.count(buckets_ + 1);
+  hist_.resize(static_cast<size_t>(buckets_));
+  for (int j = 0; j < buckets_; ++j) {
+    hist_[static_cast<size_t>(j)] = h.count(j + 1);
+  }
 }
 
 void LcllProtocol::Slip(Network* net, const std::vector<int64_t>& values,
@@ -306,8 +261,12 @@ void LcllProtocol::Slip(Network* net, const std::vector<int64_t>& values,
   ++refinements_;
   const BucketLayout layout(new_lo, new_hi, buckets_);
   WSNQ_CHECK_EQ(layout.width(), width_);
-  const SparseHistogram nh =
-      HistogramConvergecast(net, values, layout, wire_, &ws_);
+  const SparseHistogram nh = HistogramConvergecast(
+      net, values, layout.num_buckets(),
+      [&layout](int64_t v) {
+        return layout.Contains(v) ? layout.BucketOf(v) : -1;
+      },
+      wire_, &ws_);
 
   std::vector<int64_t> new_hist(static_cast<size_t>(buckets_), 0);
   for (int j = 0; j < layout.num_buckets(); ++j) {

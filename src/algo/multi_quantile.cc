@@ -32,7 +32,7 @@ void MultiIqProtocol::Initialize(Network* net,
   // One k-limited collection up to the largest tracked rank initializes
   // every rank at once.
   net->FloodFromRoot(wire_.counter_bits);
-  const std::vector<int64_t> collected =
+  const std::vector<int64_t>& collected =
       CollectKSmallest(net, values, states_.back().k, wire_, &ws_);
   if (!net->lossy()) {
     WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), states_.back().k);

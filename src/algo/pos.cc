@@ -25,7 +25,7 @@ void PosProtocol::Initialize(Network* net,
   // computes the first quantile by using an aggregation technique
   // equivalent to TAG").
   net->FloodFromRoot(wire_.counter_bits);
-  const std::vector<int64_t> collected =
+  const std::vector<int64_t>& collected =
       CollectKSmallest(net, values, k_, wire_, &ws_);
   if (!net->lossy()) {
     WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), k_);
@@ -173,7 +173,7 @@ void PosProtocol::DirectRetrieve(Network* net,
   WSNQ_TRACE_EVENT("refinement", "direct_retrieve", -1, {"lo", lo},
                    {"hi", hi});
   net->FloodFromRoot(2 * wire_.bound_bits);
-  const std::vector<int64_t> collected =
+  const std::vector<int64_t>& collected =
       RangeValuesConvergecast(net, values, lo, hi, wire_, &ws_);
   ++refinements_;
   const int64_t rank_in_interval = k_ - below_lo;  // 1-based

@@ -1,6 +1,6 @@
 #include "algo/pos_sr.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -8,27 +8,28 @@ namespace wsnq {
 
 PosSrProtocol::PosSrProtocol(int64_t k, int64_t range_min, int64_t range_max,
                              const WireFormat& wire, const Options& options)
-    : k_(k),
-      range_min_(range_min),
+    : range_min_(range_min),
       range_max_(range_max),
       wire_(wire),
       options_(options) {
   WSNQ_CHECK_GE(k, 1);
   WSNQ_CHECK_LE(range_min, range_max);
+  state_.k = k;
 }
 
 void PosSrProtocol::Initialize(Network* net,
                                const std::vector<int64_t>& values) {
   net->FloodFromRoot(wire_.counter_bits);
-  const std::vector<int64_t> collected =
-      CollectKSmallest(net, values, k_, wire_, &ws_);
+  const std::vector<int64_t>& collected =
+      CollectKSmallest(net, values, state_.k, wire_, &ws_);
   if (!net->lossy()) {
-    WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), k_);
+    WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), state_.k);
   }
-  quantile_ = BestEffortKth(collected, k_, (range_min_ + range_max_) / 2);
-  counts_ = CountsFromCollection(collected, quantile_, net->num_sensors());
+  state_.filter =
+      BestEffortKth(collected, state_.k, (range_min_ + range_max_) / 2);
+  state_.counts =
+      CountsFromCollection(collected, state_.filter, net->num_sensors());
   net->FloodFromRoot(wire_.value_bits);
-  filter_ = quantile_;
 }
 
 void PosSrProtocol::RunRound(Network* net,
@@ -45,82 +46,32 @@ void PosSrProtocol::RunRound(Network* net,
   }
   WSNQ_CHECK_EQ(prev_values_.size(), values_by_vertex.size());
 
-  const int64_t filter = filter_;
+  const int64_t v_old = state_.filter;
   const std::vector<int64_t>& prev = prev_values_;
   const ValidationAgg validation = TransitionConvergecast(
       net, values_by_vertex, wire_, options_.use_hints ? 1 : 0,
       [&](int v) {
         const size_t i = static_cast<size_t>(v);
-        return std::pair(ClassifyThreshold(prev[i], filter),
-                         ClassifyThreshold(values_by_vertex[i], filter));
+        return std::pair(ClassifyThreshold(prev[i], v_old),
+                         ClassifyThreshold(values_by_vertex[i], v_old));
       },
       &ws_);
-  ApplyCounters(validation, net->num_sensors(), &counts_);
+  ApplyCounters(validation, net->num_sensors(), &state_.counts);
   prev_values_ = values_by_vertex;
 
-  const int64_t n = net->num_sensors();
-  const int64_t v_old = filter_;
-  int64_t q = v_old;
-  if (!CountsValid(counts_, k_)) {
-    const int64_t d =
-        options_.use_hints && validation.has_hint
-            ? std::max(v_old - validation.min_changed,
-                       validation.max_changed - v_old)
-            : 0;
-    if (counts_.l >= k_) {
-      // One refinement: the f1 largest values below the filter.
-      const int64_t f1 = counts_.l - k_ + 1;
-      const int64_t lo = options_.use_hints && validation.has_hint
-                             ? std::max(range_min_, v_old - d)
-                             : range_min_;
-      net->FloodFromRoot(wire_.fcount_bits + 2 * wire_.bound_bits);
-      const std::vector<int64_t> r =
-          TopFConvergecast(net, values_by_vertex, lo, v_old - 1, f1,
-                           /*largest=*/true, wire_, &ws_);
-      refinements_ = 1;
-      if (!net->lossy()) {
-        WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f1);
-      }
-      if (!r.empty()) {
-        const size_t idx = r.size() >= static_cast<size_t>(f1)
-                               ? r.size() - static_cast<size_t>(f1)
-                               : 0;
-        q = r[idx];
-        counts_.e = std::count(r.begin(), r.end(), q);
-        counts_.l -= std::count_if(r.begin(), r.end(),
-                                   [&](int64_t x) { return x >= q; });
-        counts_.g = n - counts_.l - counts_.e;
-      }
-    } else {
-      // One refinement: the f2 smallest values above the filter.
-      const int64_t f2 = k_ - (counts_.l + counts_.e);
-      const int64_t hi = options_.use_hints && validation.has_hint
-                             ? std::min(range_max_, v_old + d)
-                             : range_max_;
-      net->FloodFromRoot(wire_.fcount_bits + 2 * wire_.bound_bits);
-      const std::vector<int64_t> r =
-          TopFConvergecast(net, values_by_vertex, v_old + 1, hi, f2,
-                           /*largest=*/false, wire_, &ws_);
-      refinements_ = 1;
-      if (!net->lossy()) {
-        WSNQ_CHECK_GE(static_cast<int64_t>(r.size()), f2);
-      }
-      if (!r.empty()) {
-        const size_t idx =
-            std::min(static_cast<size_t>(f2 - 1), r.size() - 1);
-        q = r[idx];
-        const int64_t below = counts_.l + counts_.e;
-        counts_.e = std::count(r.begin(), r.end(), q);
-        counts_.l = below + std::count_if(r.begin(), r.end(),
-                                          [&](int64_t x) { return x < q; });
-        counts_.g = n - counts_.l - counts_.e;
-      }
-    }
+  // IQ's case analysis with an empty window: every invalidated filter
+  // costs the one refinement (f1 largest below, or f2 smallest above).
+  const IqResolution resolution = ResolveIqRank(
+      /*window=*/{}, validation, net->num_sensors(), range_min_, range_max_,
+      options_.use_hints, &state_);
+  int64_t q = resolution.quantile;
+  if (resolution.refine) {
+    q = RunIqRefinement(net, values_by_vertex, resolution.request, wire_,
+                        &ws_, &state_);
+    refinements_ = 1;
   }
-
   if (q != v_old) net->FloodFromRoot(wire_.value_bits);
-  quantile_ = q;
-  filter_ = q;
+  state_.filter = q;
 }
 
 }  // namespace wsnq

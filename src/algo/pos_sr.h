@@ -11,7 +11,9 @@
 // f2 = k-l-e smallest above it — instead of bisecting. This is IQ without
 // the window, which makes it the ablation baseline that isolates what Ξ
 // buys: POS-SR pays one refinement on every quantile movement, IQ pays
-// validation values to skip it.
+// validation values to skip it. It is built that way too: the root holds an
+// IqRankState whose window stays empty (xi_l = xi_r = 0) and resolves it
+// with IQ's ResolveIqRank / RunIqRefinement (algo/iq.h).
 
 #ifndef WSNQ_ALGO_POS_SR_H_
 #define WSNQ_ALGO_POS_SR_H_
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "algo/common.h"
+#include "algo/iq.h"
 #include "algo/protocol.h"
 
 namespace wsnq {
@@ -38,22 +41,20 @@ class PosSrProtocol : public QuantileProtocol {
   const char* name() const override { return "POS-SR"; }
   void RunRound(Network* net, const std::vector<int64_t>& values_by_vertex,
                 int64_t round) override;
-  int64_t quantile() const override { return quantile_; }
-  RootCounts root_counts() const override { return counts_; }
+  int64_t quantile() const override { return state_.filter; }
+  RootCounts root_counts() const override { return state_.counts; }
   int64_t refinements_last_round() const override { return refinements_; }
 
  private:
   void Initialize(Network* net, const std::vector<int64_t>& values);
 
-  int64_t k_;
   int64_t range_min_;
   int64_t range_max_;
   WireFormat wire_;
   Options options_;
 
-  int64_t quantile_ = 0;
-  int64_t filter_ = 0;
-  RootCounts counts_;
+  /// The filter (= the last quantile) and its counts; xi_l = xi_r = 0.
+  IqRankState state_;
   std::vector<int64_t> prev_values_;
   /// Network::tree_epoch() the state was initialized under; a mismatch
   /// (fault-driven tree repair) forces re-initialization.

@@ -44,7 +44,7 @@ DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
         count_in <= options.direct_capacity && ub - lb > 1) {
       // Direct value retrieval (§4.1.1 improvement).
       net->FloodFromRoot(2 * wire.bound_bits);
-      const std::vector<int64_t> collected =
+      const std::vector<int64_t>& collected =
           RangeValuesConvergecast(net, values, lb, ub - 1, wire, ws);
       ++result.rounds;
       const int64_t rank = k - cl;  // 1-based within the interval
@@ -68,8 +68,12 @@ DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
     // Refinement request + histogram response.
     const BucketLayout layout(lb, ub, options.buckets);
     net->FloodFromRoot(2 * wire.bound_bits);
-    const SparseHistogram hist =
-        HistogramConvergecast(net, values, layout, wire, ws);
+    const SparseHistogram hist = HistogramConvergecast(
+        net, values, layout.num_buckets(),
+        [&layout](int64_t v) {
+          return layout.Contains(v) ? layout.BucketOf(v) : -1;
+        },
+        wire, ws);
     ++result.rounds;
     if (cl < 0) {
       // Downward HBC refinement: derive the count below lb from the count

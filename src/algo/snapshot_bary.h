@@ -62,7 +62,7 @@ struct DrillOptions {
 DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
                       int64_t lb, int64_t ub, int64_t below_lb, int64_t k,
                       const DrillOptions& options, const WireFormat& wire,
-                      int64_t less_than_ub = -1, WaveWorkspace* ws = nullptr);
+                      int64_t less_than_ub, WaveWorkspace* ws);
 
 /// Stand-alone snapshot protocol: one full b-ary search per round.
 class SnapshotBaryProtocol : public QuantileProtocol {

@@ -13,7 +13,7 @@ void TagProtocol::RunRound(Network* net,
     net->FloodFromRoot(wire_.counter_bits);
   }
   WSNQ_TRACE_SCOPE("validation", "collect_k_smallest", -1, {"k", k_});
-  const std::vector<int64_t> collected =
+  const std::vector<int64_t>& collected =
       CollectKSmallest(net, values_by_vertex, k_, wire_, &ws_);
   if (!net->lossy()) {
     WSNQ_CHECK_GE(static_cast<int64_t>(collected.size()), k_);

@@ -80,10 +80,6 @@ struct SimulationConfig {
   /// for every thread count and partition choice; off by default.
   bool subtree_parallel = false;
 
-  /// Verify every round's answer against the centralized oracle (cheap;
-  /// leave on outside micro-benchmarks).
-  bool check_oracle = true;
-
   /// Fill SimulationResult::metrics with per-depth energy/packet
   /// breakdowns, payload-bit histograms, and refinement-round
   /// distributions (core/metrics_registry.h; exported via --metrics).

@@ -97,8 +97,7 @@ Status ExecuteRun(const SimulationConfig& config,
         scenario.value().k, scenario.value().source->range_min(),
         scenario.value().source->range_max(), config.wire);
     (*results)[i] = RunSimulation(scenario.value(), protocol.get(),
-                                  config.rounds, config.check_oracle,
-                                  /*keep_trail=*/false,
+                                  config.rounds, /*keep_trail=*/false,
                                   config.collect_metrics);
   }
   return Status::Ok();

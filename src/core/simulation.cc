@@ -51,8 +51,7 @@ class MetricsSendObserver : public SendObserver {
 
 SimulationResult RunSimulation(const Scenario& scenario,
                                QuantileProtocol* protocol, int rounds,
-                               bool check_oracle, bool keep_trail,
-                               bool collect_metrics) {
+                               bool keep_trail, bool collect_metrics) {
   Network* net = scenario.network.get();
   net->ResetAccounting();
 
@@ -88,24 +87,22 @@ SimulationResult RunSimulation(const Scenario& scenario,
     record.packets = net->round_packets();
     record.values = net->round_values();
     record.refinements = protocol->refinements_last_round();
-    if (check_oracle) {
-      // One counting pass over the round's row: the reported value is the
-      // k-th smallest exactly when l < k <= l + e, i.e. when its rank error
-      // is 0. The row is vertex-indexed, so the root's own entry (it has no
-      // sensor) is taken back out of the counts.
-      const int64_t reported = protocol->quantile();
-      RootCounts counts = OracleCounts(values, reported);
-      const int64_t root_value = values[static_cast<size_t>(net->root())];
-      counts.l -= root_value < reported;
-      counts.e -= root_value == reported;
-      counts.g -= root_value > reported;
-      record.rank_error = OracleRankErrorFromCounts(counts, scenario.k);
-      record.correct = record.rank_error == 0;
-      if (!record.correct) ++result.errors;
-      rank_error_sum += static_cast<double>(record.rank_error);
-      result.max_rank_error =
-          std::max(result.max_rank_error, record.rank_error);
-    }
+    // One counting pass over the round's row: the reported value is the
+    // k-th smallest exactly when l < k <= l + e, i.e. when its rank error
+    // is 0. The row is vertex-indexed, so the root's own entry (it has no
+    // sensor) is taken back out of the counts.
+    const int64_t reported = protocol->quantile();
+    RootCounts counts = OracleCounts(values, reported);
+    const int64_t root_value = values[static_cast<size_t>(net->root())];
+    counts.l -= root_value < reported;
+    counts.e -= root_value == reported;
+    counts.g -= root_value > reported;
+    record.rank_error = OracleRankErrorFromCounts(counts, scenario.k);
+    record.correct = record.rank_error == 0;
+    if (!record.correct) ++result.errors;
+    rank_error_sum += static_cast<double>(record.rank_error);
+    result.max_rank_error =
+        std::max(result.max_rank_error, record.rank_error);
     energy_sum += record.max_round_energy_mj;
     packets_sum += static_cast<double>(record.packets);
     values_sum += static_cast<double>(record.values);

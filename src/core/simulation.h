@@ -14,7 +14,8 @@
 namespace wsnq {
 
 /// Runs `protocol` for `rounds` update rounds (plus the initialization
-/// round 0) over `scenario`. Resets the network accounting first, so
+/// round 0) over `scenario`, checking every round's answer against the
+/// exactness oracle. Resets the network accounting first, so
 /// several protocols can be replayed over one scenario. Set `keep_trail`
 /// to retain per-round records (Fig. 4-style traces); set
 /// `collect_metrics` to fill SimulationResult::metrics with per-depth
@@ -22,7 +23,7 @@ namespace wsnq {
 /// refinement-round distribution (core/metrics_registry.h).
 SimulationResult RunSimulation(const Scenario& scenario,
                                QuantileProtocol* protocol, int rounds,
-                               bool check_oracle, bool keep_trail = false,
+                               bool keep_trail = false,
                                bool collect_metrics = false);
 
 }  // namespace wsnq

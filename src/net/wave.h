@@ -88,31 +88,23 @@ struct WaveSend {
   int64_t value_count = 0;
 };
 
-/// Runs convergecast waves over a cached SubtreeCut. Owns (or borrows) the
-/// pool the parts fan out on, plus the per-part send records and merge
-/// lanes, reused across waves. One executor serves one Network at a time;
-/// install it with Network::set_wave_executor. The cut is recomputed when
-/// the network's tree epoch changes (fault-driven repair / reset).
+/// Runs convergecast waves over a cached SubtreeCut. Owns the pool the
+/// parts fan out on, plus the per-part send records and merge lanes, reused
+/// across waves. One executor serves one Network at a time; install it with
+/// Network::set_wave_executor. The cut is recomputed when the network's
+/// tree epoch changes (fault-driven repair / reset).
 class WaveExecutor {
  public:
-  /// Borrows `pool` (not owned; may be shared by several executors — their
-  /// waves then serialize on it, which is safe). `target_parts` sizes the
-  /// cut; values below 1 are clamped to 1.
-  WaveExecutor(ThreadPool* pool, int target_parts)
-      : pool_(pool), target_parts_(std::max(1, target_parts)) {
-    WSNQ_CHECK(pool != nullptr);
-  }
-
-  /// Owns a fresh pool of `threads` workers.
+  /// Owns a fresh pool of `threads` workers. `target_parts` sizes the cut;
+  /// values below 1 are clamped to 1.
   WaveExecutor(int threads, int target_parts)
-      : owned_pool_(std::make_unique<ThreadPool>(threads)),
-        pool_(owned_pool_.get()),
+      : pool_(std::make_unique<ThreadPool>(threads)),
         target_parts_(std::max(1, target_parts)) {}
 
   WaveExecutor(const WaveExecutor&) = delete;
   WaveExecutor& operator=(const WaveExecutor&) = delete;
 
-  ThreadPool* pool() { return pool_; }
+  ThreadPool* pool() { return pool_.get(); }
   int target_parts() const { return target_parts_; }
 
   /// The cut for `net`'s current tree, recomputed on epoch change. Protocol
@@ -141,8 +133,7 @@ class WaveExecutor {
   }
 
  private:
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;
+  std::unique_ptr<ThreadPool> pool_;
   int target_parts_;
   int64_t epoch_ = -1;
   size_t order_size_ = 0;

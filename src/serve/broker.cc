@@ -13,12 +13,6 @@ QuantileBroker::QuantileBroker(const BrokerOptions& options)
     : options_(options),
       pool_(std::make_unique<ThreadPool>(options.threads)) {
   WSNQ_CHECK_GE(options_.shards, 1);
-  if (options_.subtree_parallel) {
-    // One wave pool for all streams: concurrent shard advances serialize
-    // their ParallelFor calls on it (util/thread_pool.h), so per-stream
-    // executors only need private buffers, not private threads.
-    wave_pool_ = std::make_unique<ThreadPool>(options.threads);
-  }
   shard_streams_.resize(static_cast<size_t>(options_.shards));
 }
 
@@ -40,11 +34,6 @@ StatusOr<QuantileBroker::Stream*> QuantileBroker::GetOrCreateStream(
   auto stream = std::make_unique<Stream>();
   stream->field = field;
   stream->scenario = std::move(scenario).value();
-  if (wave_pool_ != nullptr) {
-    stream->wave_executor = std::make_unique<WaveExecutor>(
-        wave_pool_.get(), /*target_parts=*/4 * wave_pool_->num_threads());
-    stream->scenario.network->set_wave_executor(stream->wave_executor.get());
-  }
   stream->shard =
       static_cast<int>(FieldHash(field) % static_cast<uint64_t>(
                            options_.shards));

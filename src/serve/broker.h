@@ -40,7 +40,6 @@
 #include "core/config.h"
 #include "core/scenario.h"
 #include "core/scenario_cache.h"
-#include "net/wave.h"
 #include "serve/wire.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -57,11 +56,6 @@ struct BrokerOptions {
   int shards = 1;
   /// Worker threads for the per-round shard fan-out (>= 1; 1 = serial).
   int threads = 1;
-  /// Split each stream's convergecast waves over subtree cuts of its
-  /// routing tree (net/wave.h). Streams borrow one shared wave pool whose
-  /// ParallelFor calls serialize, so concurrent shard advances stay safe;
-  /// answers are bit-identical either way.
-  bool subtree_parallel = false;
   /// Subscription-table capacity; Subscribe fails beyond it.
   int64_t max_subs = 1 << 20;
 };
@@ -126,9 +120,6 @@ class QuantileBroker {
   struct Stream {
     std::string field;
     Scenario scenario;
-    /// Per-stream wave executor (cut cache + partial-wave buffers) over the
-    /// broker's shared wave pool; null unless subtree_parallel.
-    std::unique_ptr<WaveExecutor> wave_executor;
     std::unique_ptr<MultiIqProtocol> protocol;
     /// Sorted unique subscribed ranks with reference counts.
     std::map<int64_t, int64_t> rank_refs;
@@ -163,9 +154,6 @@ class QuantileBroker {
   const BrokerOptions options_;
   ScenarioCache cache_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Shared in-wave pool for subtree-parallel streams (see BrokerOptions);
-  /// declared before the streams that borrow it through their executors.
-  std::unique_ptr<ThreadPool> wave_pool_;
   /// Stream registry; keyed by field name. Streams are owned here and
   /// indexed per shard in creation order for the fan-out.
   std::map<std::string, std::unique_ptr<Stream>> streams_;

@@ -29,9 +29,8 @@ SimulationConfig ResolveField(const SimulationConfig& base,
       1.0 + static_cast<double>((h >> 16) % 80) / 10.0;
   config.synthetic.amplitude_fraction =
       0.15 + static_cast<double>((h >> 32) % 21) / 100.0;
-  // Serving streams never run the oracle or the metrics registry on the
-  // hot path; subscriptions carry their own ranks.
-  config.check_oracle = false;
+  // Serving streams never run the metrics registry on the hot path;
+  // subscriptions carry their own ranks.
   config.collect_metrics = false;
   return config;
 }

@@ -96,7 +96,9 @@ TEST(CollectKSmallestTest, GathersKWithTies) {
   Network net = MakeLineNetwork(8, 0);
   // Vertices 1..7 measure; duplicates of the k-th smallest must survive.
   std::vector<int64_t> values = {0, 9, 3, 7, 3, 5, 3, 1};
-  const auto collected = CollectKSmallest(&net, values, 3, WireFormat{});
+  WaveWorkspace ws;
+  const auto& collected =
+      CollectKSmallest(&net, values, 3, WireFormat{}, &ws);
   // Sorted sensor values: 1 3 3 3 5 7 9 -> k=3 smallest plus ties of 3.
   const std::vector<int64_t> expected = {1, 3, 3, 3};
   EXPECT_EQ(collected, expected);
@@ -109,7 +111,9 @@ TEST(CollectKSmallestTest, GathersKWithTies) {
 TEST(CollectKSmallestTest, SmallPopulationReturnsAll) {
   Network net = MakeLineNetwork(4, 0);
   std::vector<int64_t> values = {0, 5, 2, 8};
-  const auto collected = CollectKSmallest(&net, values, 10, WireFormat{});
+  WaveWorkspace ws;
+  const auto& collected =
+      CollectKSmallest(&net, values, 10, WireFormat{}, &ws);
   const std::vector<int64_t> expected = {2, 5, 8};
   EXPECT_EQ(collected, expected);
 }
@@ -117,8 +121,9 @@ TEST(CollectKSmallestTest, SmallPopulationReturnsAll) {
 TEST(RangeValuesConvergecastTest, CollectsExactlyInRange) {
   Network net = MakeLineNetwork(10, 0);
   std::vector<int64_t> values = {0, 1, 5, 9, 4, 7, 5, 2, 8, 6};
-  const auto collected =
-      RangeValuesConvergecast(&net, values, 4, 7, WireFormat{});
+  WaveWorkspace ws;
+  const auto& collected =
+      RangeValuesConvergecast(&net, values, 4, 7, WireFormat{}, &ws);
   const std::vector<int64_t> expected = {4, 5, 5, 6, 7};
   EXPECT_EQ(collected, expected);
 }
@@ -127,8 +132,9 @@ TEST(TopFConvergecastTest, LargestWithTies) {
   Network net = MakeLineNetwork(9, 0);
   std::vector<int64_t> values = {0, 3, 8, 8, 5, 9, 1, 8, 2};
   // Request the 2 largest in [0, 9]; 8 is the cutoff and has 3 copies.
-  const auto r =
-      TopFConvergecast(&net, values, 0, 9, 2, /*largest=*/true, WireFormat{});
+  WaveWorkspace ws;
+  const auto& r = TopFConvergecast(&net, values, 0, 9, 2, /*largest=*/true,
+                                   WireFormat{}, &ws);
   const std::vector<int64_t> expected = {8, 8, 8, 9};
   EXPECT_EQ(r, expected);
 }
@@ -136,8 +142,9 @@ TEST(TopFConvergecastTest, LargestWithTies) {
 TEST(TopFConvergecastTest, SmallestRespectsInterval) {
   Network net = MakeLineNetwork(9, 0);
   std::vector<int64_t> values = {0, 3, 8, 8, 5, 9, 1, 8, 2};
-  const auto r = TopFConvergecast(&net, values, 2, 9, 3, /*largest=*/false,
-                                  WireFormat{});
+  WaveWorkspace ws;
+  const auto& r = TopFConvergecast(&net, values, 2, 9, 3, /*largest=*/false,
+                                   WireFormat{}, &ws);
   const std::vector<int64_t> expected = {2, 3, 5};
   EXPECT_EQ(r, expected);
 }
@@ -257,12 +264,15 @@ TEST(TransitionConvergecastTest, CountsMovements) {
   std::vector<int64_t> cur = {0, 8, 1, 5, 6, 7};
   const int64_t filter = 5;
   net.BeginRound();
+  WaveWorkspace ws;
   const ValidationAgg agg = TransitionConvergecast(
-      &net, cur, WireFormat{}, 2, [&](int v) {
+      &net, cur, WireFormat{}, 2,
+      [&](int v) {
         const size_t i = static_cast<size_t>(v);
         return std::pair(ClassifyThreshold(prev[i], filter),
                          ClassifyThreshold(cur[i], filter));
-      });
+      },
+      &ws);
   // Vertex1: lt->gt, vertex2: gt->lt, vertex3: eq->eq, vertex4: eq->gt,
   // vertex5: gt->gt.
   EXPECT_EQ(agg.into_lt, 1);
@@ -281,12 +291,15 @@ TEST(TransitionConvergecastTest, SilentWhenNothingChanges) {
   Network net = MakeLineNetwork(6, 0);
   std::vector<int64_t> values = {0, 2, 9, 5, 5, 7};
   net.BeginRound();
+  WaveWorkspace ws;
   const ValidationAgg agg = TransitionConvergecast(
-      &net, values, WireFormat{}, 2, [&](int v) {
+      &net, values, WireFormat{}, 2,
+      [&](int v) {
         const size_t i = static_cast<size_t>(v);
         return std::pair(ClassifyThreshold(values[i], 5),
                          ClassifyThreshold(values[i], 5));
-      });
+      },
+      &ws);
   EXPECT_TRUE(agg.empty());
   EXPECT_EQ(net.round_packets(), 0);
   EXPECT_EQ(net.MaxRoundEnergyOverSensors(), 0.0);

@@ -140,15 +140,13 @@ TEST(ApproximateTest, SummariesScaleBetterThanExactCollection) {
     config.num_sensors = sensors;
     config.radio_range = 45.0;
     config.rounds = 8;
-    config.check_oracle = false;
     auto scenario = BuildScenario(config, 0);
     WSNQ_CHECK(scenario.ok());
     auto protocol = MakeProtocol(kind, scenario.value().k,
                                  scenario.value().source->range_min(),
                                  scenario.value().source->range_max(),
                                  config.wire);
-    return RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                         false)
+    return RunSimulation(scenario.value(), protocol.get(), config.rounds)
         .mean_max_round_energy_mj;
   };
   const double tag_small = energy(150, AlgorithmKind::kTag);

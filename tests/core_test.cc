@@ -73,8 +73,8 @@ TEST(ScenarioTest, MultiValueNodesExpandThePopulation) {
       MakeProtocol(AlgorithmKind::kIq, scenario.value().k,
                    scenario.value().source->range_min(),
                    scenario.value().source->range_max(), config.wire);
-  const SimulationResult result = RunSimulation(
-      scenario.value(), protocol.get(), config.rounds, true);
+  const SimulationResult result =
+      RunSimulation(scenario.value(), protocol.get(), config.rounds);
   EXPECT_EQ(result.errors, 0);
 }
 
@@ -140,7 +140,7 @@ TEST(SimulationTest, MetricsAreConsistent) {
                    scenario.value().source->range_max(), config.wire);
   const SimulationResult result =
       RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                    /*check_oracle=*/true, /*keep_trail=*/true);
+                    /*keep_trail=*/true);
   EXPECT_EQ(result.errors, 0);
   EXPECT_EQ(result.rounds, config.rounds + 1);
   EXPECT_EQ(result.trail.size(), static_cast<size_t>(config.rounds + 1));
@@ -161,8 +161,7 @@ TEST(SimulationTest, ReplaySameScenarioIsDeterministic) {
         MakeProtocol(AlgorithmKind::kHbc, scenario.value().k,
                      scenario.value().source->range_min(),
                      scenario.value().source->range_max(), config.wire);
-    return RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                         true);
+    return RunSimulation(scenario.value(), protocol.get(), config.rounds);
   };
   const SimulationResult a = run_once();
   const SimulationResult b = run_once();
@@ -182,8 +181,7 @@ TEST(SimulationTest, LifetimeInverselyRelatedToLoad) {
                                  scenario.value().source->range_min(),
                                  scenario.value().source->range_max(),
                                  config.wire);
-    return RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                         false)
+    return RunSimulation(scenario.value(), protocol.get(), config.rounds)
         .lifetime_rounds;
   };
   EXPECT_GT(lifetime(AlgorithmKind::kIq), lifetime(AlgorithmKind::kTag));
@@ -221,7 +219,7 @@ SimulationResult RunWithTrail(const Scenario& scenario, AlgorithmKind kind,
   auto protocol = MakeProtocol(kind, scenario.k, scenario.source->range_min(),
                                scenario.source->range_max(), WireFormat{});
   return RunSimulation(scenario, protocol.get(), rounds,
-                       /*check_oracle=*/true, /*keep_trail=*/true);
+                       /*keep_trail=*/true);
 }
 
 TEST(SimulationOracleTest, ExactProtocolMatchesReference) {
@@ -294,8 +292,7 @@ TEST(SimulationOracleTest, RootEntryIsNotCountedAsASensor) {
             0);
   ReportsZeroProtocol protocol;
   const SimulationResult result =
-      RunSimulation(scenario, &protocol, /*rounds=*/5, /*check_oracle=*/true,
-                    /*keep_trail=*/true);
+      RunSimulation(scenario, &protocol, /*rounds=*/5, /*keep_trail=*/true);
   EXPECT_EQ(ExpectTrailMatchesReferenceOracle(scenario, result), 4);
   ASSERT_EQ(result.trail.size(), 6u);
   const int64_t expected_rank_error[] = {2, 1, 0, 2, 1, 0};

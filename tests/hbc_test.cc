@@ -201,12 +201,14 @@ TEST(SnapshotTest, DrillFindsAnyRank) {
     values[static_cast<size_t>(v)] = rng.UniformInt(0, 255);
   }
   const auto sensors = SensorValues(net, values);
+  WaveWorkspace ws;
   for (int64_t k = 1; k <= 30; k += 7) {
     DrillOptions options;
     options.buckets = 8;
     net.BeginRound();
     const DrillResult result =
-        BAryDrill(&net, values, 0, 256, 0, k, options, WireFormat{});
+        BAryDrill(&net, values, 0, 256, 0, k, options, WireFormat{},
+                  /*less_than_ub=*/-1, &ws);
     EXPECT_EQ(result.quantile, OracleKth(sensors, k)) << "k=" << k;
     const RootCounts oracle = OracleCounts(sensors, result.quantile);
     EXPECT_EQ(result.counts.l, oracle.l);
@@ -224,14 +226,15 @@ TEST(SnapshotTest, DirectCapacityReducesRounds) {
   }
   DrillOptions slow;
   slow.buckets = 8;
+  WaveWorkspace ws;
   net.BeginRound();
-  const auto without =
-      BAryDrill(&net, values, 0, 65536, 0, 15, slow, WireFormat{});
+  const auto without = BAryDrill(&net, values, 0, 65536, 0, 15, slow,
+                                 WireFormat{}, /*less_than_ub=*/-1, &ws);
   DrillOptions fast = slow;
   fast.direct_capacity = 64;
   net.BeginRound();
-  const auto with =
-      BAryDrill(&net, values, 0, 65536, 0, 15, fast, WireFormat{});
+  const auto with = BAryDrill(&net, values, 0, 65536, 0, 15, fast,
+                              WireFormat{}, /*less_than_ub=*/-1, &ws);
   EXPECT_EQ(without.quantile, with.quantile);
   EXPECT_LT(with.rounds, without.rounds);
 }
@@ -243,10 +246,11 @@ TEST(SnapshotTest, UnknownBelowLbResolvedByFirstHistogram) {
   std::vector<int64_t> values = {0, 10, 20, 30, 40, 50, 60, 70, 80, 90};
   DrillOptions options;
   options.buckets = 4;
+  WaveWorkspace ws;
   net.BeginRound();
   const DrillResult result = BAryDrill(&net, values, 15, 65, /*below_lb=*/-1,
                                        /*k=*/4, options, WireFormat{},
-                                       /*less_than_ub=*/6);
+                                       /*less_than_ub=*/6, &ws);
   EXPECT_EQ(result.quantile, 40);
   EXPECT_EQ(result.counts.l, 3);
   EXPECT_EQ(result.counts.e, 1);
@@ -257,9 +261,10 @@ TEST(SnapshotTest, WidthOneInitialInterval) {
   std::vector<int64_t> values = {0, 7, 7, 7, 9};
   DrillOptions options;
   options.buckets = 4;
+  WaveWorkspace ws;
   net.BeginRound();
-  const DrillResult result =
-      BAryDrill(&net, values, 7, 8, 0, 2, options, WireFormat{});
+  const DrillResult result = BAryDrill(&net, values, 7, 8, 0, 2, options,
+                                       WireFormat{}, /*less_than_ub=*/-1, &ws);
   EXPECT_EQ(result.quantile, 7);
   EXPECT_EQ(result.counts.e, 3);
 }

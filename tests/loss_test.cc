@@ -89,8 +89,8 @@ TEST_P(LossSweepTest, SurvivesHeavyLossAndStaysInRange) {
                                scenario.value().source->range_min(),
                                scenario.value().source->range_max(),
                                config.wire);
-  const SimulationResult result = RunSimulation(
-      scenario.value(), protocol.get(), config.rounds, /*check_oracle=*/true);
+  const SimulationResult result =
+      RunSimulation(scenario.value(), protocol.get(), config.rounds);
   // No crash, and the reported value never leaves the universe.
   EXPECT_GE(protocol->quantile(), scenario.value().source->range_min());
   EXPECT_LE(protocol->quantile(), scenario.value().source->range_max());
@@ -109,8 +109,8 @@ TEST_P(LossSweepTest, ZeroLossConfigStaysExact) {
                                scenario.value().source->range_min(),
                                scenario.value().source->range_max(),
                                config.wire);
-  const SimulationResult result = RunSimulation(
-      scenario.value(), protocol.get(), config.rounds, true);
+  const SimulationResult result =
+      RunSimulation(scenario.value(), protocol.get(), config.rounds);
   EXPECT_EQ(result.errors, 0);
   EXPECT_EQ(result.max_rank_error, 0);
 }
@@ -131,8 +131,7 @@ TEST_P(LossSweepTest, RankErrorGrowsWithLoss) {
                                    scenario.value().source->range_min(),
                                    scenario.value().source->range_max(),
                                    config.wire);
-      total += RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                             true)
+      total += RunSimulation(scenario.value(), protocol.get(), config.rounds)
                    .mean_rank_error;
     }
     return total / 3.0;

@@ -132,7 +132,8 @@ TEST(EnergyConservation, SendersPayMoreThanReceiversPerBit) {
   std::vector<int64_t> values(static_cast<size_t>(net.num_vertices()), 0);
   Rng rng(7);
   for (auto& v : values) v = rng.UniformInt(0, 1023);
-  RangeValuesConvergecast(&net, values, 0, 1023, WireFormat{});
+  WaveWorkspace ws;
+  RangeValuesConvergecast(&net, values, 0, 1023, WireFormat{}, &ws);
   double total = 0.0, max_node = 0.0;
   for (int v = 0; v < net.num_vertices(); ++v) {
     total += net.round_energy(v);
@@ -153,10 +154,11 @@ TEST(CollectionProperty, KSmallestIsPrefixOfSortedPopulation) {
     const auto sensors = SensorValues(net, values);
     std::vector<int64_t> sorted = sensors;
     std::sort(sorted.begin(), sorted.end());
+    WaveWorkspace ws;
     for (int64_t k : {int64_t{1}, int64_t{10}, int64_t{35}}) {
       net.BeginRound();
-      const auto collected =
-          CollectKSmallest(&net, values, k, WireFormat{});
+      const auto& collected =
+          CollectKSmallest(&net, values, k, WireFormat{}, &ws);
       // Prefix property:
       ASSERT_GE(static_cast<int64_t>(collected.size()), k);
       for (size_t i = 0; i < collected.size(); ++i) {
@@ -183,8 +185,9 @@ TEST(CollectionProperty, TopFMatchesBruteForce) {
     const int64_t f = rng.UniformInt(1, 5);
     const bool largest = rng.Bernoulli(0.5);
     net.BeginRound();
-    const auto got =
-        TopFConvergecast(&net, values, lo, hi, f, largest, WireFormat{});
+    WaveWorkspace ws;
+    const auto& got = TopFConvergecast(&net, values, lo, hi, f, largest,
+                                       WireFormat{}, &ws);
     // Brute force: all in-range values, sorted; take f extremes + ties.
     std::vector<int64_t> in_range;
     for (int v = 1; v < net.num_vertices(); ++v) {

@@ -265,11 +265,8 @@ TEST(BrokerTest, AnswersAreExactOrderStatistics) {
 /// Runs a fixed subscription scenario (including a mid-run subscribe and
 /// unsubscribe, which exercises protocol rebuilds) and returns the exact
 /// encoded answer-payload byte stream.
-std::vector<uint8_t> AnswerBytes(int shards, int threads,
-                                 bool subtree_parallel = false) {
-  BrokerOptions options = SmallBroker(shards, threads);
-  options.subtree_parallel = subtree_parallel;
-  QuantileBroker broker(options);
+std::vector<uint8_t> AnswerBytes(int shards, int threads) {
+  QuantileBroker broker(SmallBroker(shards, threads));
   std::vector<uint64_t> subs;
   for (int i = 0; i < 12; ++i) {
     const std::string field = "field-" + std::to_string(i % 5);
@@ -308,10 +305,6 @@ TEST(BrokerDeterminismTest, AnswerBytesIdenticalAcrossShardsAndThreads) {
       << "--shards=4 --threads=8 diverged";
   EXPECT_EQ(AnswerBytes(16, 4), reference)
       << "--shards=16 --threads=4 diverged";
-  for (int threads : {1, 4}) {
-    EXPECT_EQ(AnswerBytes(1, threads, /*subtree_parallel=*/true), reference)
-        << "--subtree-parallel --threads=" << threads << " diverged";
-  }
 }
 
 // --- CLI validation -------------------------------------------------------

@@ -19,6 +19,8 @@ Rules (docs/hardening.md "wsnq-lint" gives the reasons)
   fault-rng        no wsnq::Rng or util/rng.h inside src/fault/ except
                    fault_key.h
   serve-syscall    socket/poll calls and headers only under src/serve/
+  raw-send         under src/, SendToParent/BroadcastToChildren/
+                   NoteConvergecast calls only in src/net/ (net/wave.h)
   raw-getenv       no getenv/secure_getenv outside util/env.cc
   raw-assert       no assert()/abort() outside util/check.h
   include-guard    headers use WSNQ_<DIR>_<FILE>_H_
@@ -591,6 +593,13 @@ pattern_rule(
     include=r'#\s*include\s*[<"](sys/socket\.h|sys/epoll\.h|sys/select\.h|'
             r'poll\.h|netinet/[a-z_]+\.h|arpa/inet\.h)[>"]',
     exempt=("src/serve/",))
+pattern_rule(
+    "raw-send",
+    r"(->|\.)\s*(SendToParent|BroadcastToChildren|NoteConvergecast)\s*\(",
+    "convergecast uplinks go through RunConvergecastWave (net/wave.h) with "
+    "an Ops struct; a hand-written post-order loop bypasses the engine's "
+    "send accounting order and its subtree-parallel split",
+    exempt=("src/net/",), only="src/")
 pattern_rule(
     "raw-getenv", r"(?<![A-Za-z0-9_])(secure_getenv|getenv)\s*\(",
     "read the environment through util/env.h (GetEnv/PositiveIntFromEnv) "

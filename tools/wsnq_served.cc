@@ -18,10 +18,6 @@
 //   --shards=N          simulation shards fields are hashed over (>= 1)
 //   --threads=N         worker threads for the shard fan-out (>= 1;
 //                       answers are bit-identical for every value)
-//   --subtree-parallel[=BOOL]
-//                       split each stream's convergecast waves over
-//                       subtree cuts (net/wave.h); answers stay
-//                       bit-identical
 //   --max-subs=N        subscription-table capacity
 //   --rounds-per-sec=R  backend round pacing (> 0)
 //   --max-rounds=N      exit cleanly after N rounds (0 = until SIGINT)
@@ -73,7 +69,6 @@ int Main(int argc, char** argv) {
   options.max_rounds = cli.max_rounds;
   options.broker.shards = cli.shards;
   options.broker.threads = cli.threads;
-  options.broker.subtree_parallel = flags.GetBool("subtree-parallel", false);
   options.broker.max_subs = cli.max_subs;
   options.broker.base.num_sensors =
       static_cast<int>(flags.GetInt("nodes", 64));

@@ -215,8 +215,7 @@ int main(int argc, char** argv) {
       trace::RunScope trace_scope(
           trace::GlobalSink() != nullptr ? &trace_buffer : nullptr);
       result = RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                             /*check_oracle=*/true, /*keep_trail=*/true,
-                             config.collect_metrics);
+                             /*keep_trail=*/true, config.collect_metrics);
     }
     if (trace::GlobalSink() != nullptr) {
       // Single hand-rolled run on this thread; the fold phase holds.
