@@ -36,6 +36,16 @@ int64_t OracleRankError(const std::vector<int64_t>& sensor_values,
   return OracleRankErrorFromCounts(OracleCounts(sensor_values, reported), k);
 }
 
+int64_t OracleRankErrorOfRow(const std::vector<int64_t>& values_by_vertex,
+                             int root, int64_t reported, int64_t k) {
+  RootCounts counts = OracleCounts(values_by_vertex, reported);
+  const int64_t root_value = values_by_vertex[static_cast<size_t>(root)];
+  counts.l -= root_value < reported;
+  counts.e -= root_value == reported;
+  counts.g -= root_value > reported;
+  return OracleRankErrorFromCounts(counts, k);
+}
+
 int64_t OracleKthSorted(const std::vector<int64_t>& sorted_sensor_values,
                         int64_t k) {
   WSNQ_CHECK_GE(k, 1);

@@ -1,6 +1,6 @@
 // Centralized ground truth: exact order statistics over a snapshot. Used by
-// the run loop's exactness check (core/simulation.cc counts one value row
-// per round through OracleCounts + OracleRankErrorFromCounts), by the test
+// the run loops' exactness checks (core/simulation.cc and core/lifetime.cc
+// count one value row per round through OracleRankErrorOfRow), by the test
 // suite to verify every protocol's answer and bookkeeping, and by
 // protocols' internal assertions in debug builds. Performs no communication.
 
@@ -35,6 +35,12 @@ int64_t OracleRankErrorFromCounts(const RootCounts& counts, int64_t k);
 /// `sensor_values` (OracleRankErrorFromCounts over OracleCounts).
 int64_t OracleRankError(const std::vector<int64_t>& sensor_values,
                         int64_t reported, int64_t k);
+
+/// OracleRankError over a vertex-indexed value row: one counting pass, with
+/// the entry of `root` (the sink, which has no sensor) taken back out of
+/// the counts. 0 exactly when `reported` is the k-th smallest measurement.
+int64_t OracleRankErrorOfRow(const std::vector<int64_t>& values_by_vertex,
+                             int root, int64_t reported, int64_t k);
 
 /// OracleKth over an ascending-sorted snapshot: O(1) instead of a copy
 /// plus selection. Values are integers, so sorted[k-1] is exactly the

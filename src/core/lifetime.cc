@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
 
 #include "algo/oracle.h"
 #include "core/scenario.h"
@@ -32,24 +31,9 @@ StatusOr<Epoch> BuildEpoch(const Scenario& base, const SimulationConfig& config,
   const int root = base.network->root();
   WSNQ_CHECK((*alive)[static_cast<size_t>(root)]);
 
-  // Reachability over the alive subgraph.
-  std::vector<char> reachable(alive->size(), 0);
-  std::queue<int> frontier;
-  frontier.push(root);
-  reachable[static_cast<size_t>(root)] = 1;
-  while (!frontier.empty()) {
-    const int v = frontier.front();
-    frontier.pop();
-    for (int u : full.neighbors(v)) {
-      if ((*alive)[static_cast<size_t>(u)] &&
-          !reachable[static_cast<size_t>(u)]) {
-        reachable[static_cast<size_t>(u)] = 1;
-        frontier.push(u);
-      }
-    }
-  }
+  const std::vector<int> depth = LiveHopDepths(full, root, alive);
   for (size_t v = 0; v < alive->size(); ++v) {
-    if ((*alive)[v] && !reachable[v]) {
+    if ((*alive)[v] && depth[v] < 0) {
       (*alive)[v] = 0;
       cut_off->push_back(static_cast<int>(v));
     }
@@ -121,31 +105,24 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
                      base.value().source->range_max(), config.wire);
     ++result.reinit_epochs;
 
+    // Measurements of the epoch's vertices (by epoch index), refilled every
+    // round. The sink carries no sensor and keeps its 0.
+    std::vector<int64_t> values(epoch.original_of.size(), 0);
     // Run this epoch until somebody dies (round 0 of the protocol is its
     // re-initialization, charged like any other round).
     bool epoch_alive = true;
     for (int64_t epoch_round = 0; epoch_alive && round < options.max_rounds;
          ++epoch_round, ++round) {
-      // Measurements of the epoch's vertices (by epoch index).
-      std::vector<int64_t> values(epoch.original_of.size(), 0);
-      std::vector<int64_t> sensors;
-      sensors.reserve(epoch.original_of.size() - 1);
       for (size_t v = 0; v < epoch.original_of.size(); ++v) {
-        const int original = epoch.original_of[v];
         const int sensor = base.value().sensor_of_vertex[static_cast<size_t>(
-            original)];
-        if (sensor >= 0) {
-          values[v] = base.value().source->Value(sensor, round);
-          if (static_cast<int>(v) != net->root()) sensors.push_back(values[v]);
-        }
+            epoch.original_of[v])];
+        if (sensor >= 0) values[v] = base.value().source->Value(sensor, round);
       }
-      // The original root carries no sensor; if an ordinary vertex became
-      // the epoch root its measurement simply goes unobserved this epoch.
       net->BeginRound();
       protocol->RunRound(net, values, epoch_round);
       ++result.total_rounds;
-      if (!sensors.empty() &&
-          protocol->quantile() == OracleKth(sensors, epoch.k)) {
+      if (OracleRankErrorOfRow(values, net->root(), protocol->quantile(),
+                               epoch.k) == 0) {
         ++result.exact_rounds;
       }
 

@@ -89,15 +89,9 @@ SimulationResult RunSimulation(const Scenario& scenario,
     record.refinements = protocol->refinements_last_round();
     // One counting pass over the round's row: the reported value is the
     // k-th smallest exactly when l < k <= l + e, i.e. when its rank error
-    // is 0. The row is vertex-indexed, so the root's own entry (it has no
-    // sensor) is taken back out of the counts.
-    const int64_t reported = protocol->quantile();
-    RootCounts counts = OracleCounts(values, reported);
-    const int64_t root_value = values[static_cast<size_t>(net->root())];
-    counts.l -= root_value < reported;
-    counts.e -= root_value == reported;
-    counts.g -= root_value > reported;
-    record.rank_error = OracleRankErrorFromCounts(counts, scenario.k);
+    // is 0.
+    record.rank_error = OracleRankErrorOfRow(values, net->root(),
+                                             protocol->quantile(), scenario.k);
     record.correct = record.rank_error == 0;
     if (!record.correct) ++result.errors;
     rank_error_sum += static_cast<double>(record.rank_error);

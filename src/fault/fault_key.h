@@ -1,6 +1,6 @@
 // Counter-based randomness for the fault subsystem. Every fault decision
-// (frame loss, churn victim choice, random re-attachment) is a pure hash of
-// an explicit key — there is NO sequential RNG stream anywhere in
+// (frame loss, Gilbert–Elliott transitions, churn victim choice) is a pure
+// hash of an explicit key — there is NO sequential RNG stream anywhere in
 // src/fault/. That is what makes injected faults bit-identical for every
 // --threads value: a draw depends only on (seed, run, round/tick, src, dst,
 // salt, nonce), never on how many draws other links or other runs made
@@ -25,7 +25,6 @@ enum class FaultStream : uint32_t {
   kGilbertStep = 3,  ///< one Gilbert–Elliott state transition
   kGilbertInit = 4,  ///< Gilbert–Elliott stationary (re)initialization
   kChurn = 5,        ///< crash-victim selection
-  kRepair = 6,       ///< random parent re-attachment during tree repair
 };
 
 /// The full name of one random decision. Unused fields stay at their

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "fault/tree_repair.h"
+#include "net/spanning_tree.h"
 #include "util/check.h"
 #include "util/trace.h"
 
@@ -13,8 +13,6 @@ namespace wsnq {
 FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
                      int num_vertices, int root)
     : config_(config),
-      seed_(seed),
-      run_(run),
       num_vertices_(num_vertices),
       root_(root),
       links_(config.loss_model, config.loss, config.burst_len, seed, run,
@@ -30,8 +28,6 @@ FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
                      std::unique_ptr<FrameLossOracle> scripted,
                      const std::vector<int>& crash_victims)
     : config_(config),
-      seed_(seed),
-      run_(run),
       num_vertices_(num_vertices),
       root_(root),
       links_(config.loss_model, config.loss, config.burst_len, seed, run,
@@ -80,17 +76,12 @@ void FaultPlan::OnRoundStart(int64_t round, Network* net) {
   last_alive_ = alive;
 
   if (!config_.repair) return;
-  // Rebuild the live routing tree and hand it to the network; the epoch
-  // bump makes every stateful protocol re-validate instead of silently
-  // miscounting over a stale topology.
-  FaultKey draw;
-  draw.seed = seed_;
-  draw.run = run_;
-  draw.round = round;
-  draw.salt = FaultStream::kRepair;
-  SpanningTree repaired = RepairTree(net->graph(), root_, alive,
-                                     config_.repair_selection,
-                                     FaultBits(draw));
+  // Rebuild the live routing tree (nearest min-hop live parent, as the
+  // default tree) and hand it to the network; the epoch bump makes every
+  // stateful protocol re-validate instead of silently miscounting over a
+  // stale topology.
+  SpanningTree repaired = BuildLiveRoutingTree(net->graph(), root_, alive,
+                                               ParentSelection::kNearest);
   const std::vector<int>& old_parent = net->tree().parent;
   bool moved = false;
   for (int v = 0; v < num_vertices_; ++v) {

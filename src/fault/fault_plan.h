@@ -17,7 +17,6 @@
 #include "fault/link_models.h"
 #include "fault/node_churn.h"
 #include "net/network.h"
-#include "net/spanning_tree.h"
 
 namespace wsnq {
 
@@ -39,9 +38,9 @@ struct FaultConfig {
   int64_t crash_len = 0;
 
   /// Re-attach orphaned subtrees to live parents on every churn
-  /// transition; protocols observe the tree-epoch bump and re-validate.
+  /// transition (each to its nearest min-hop live parent); protocols
+  /// observe the tree-epoch bump and re-validate.
   bool repair = true;
-  ParentSelection repair_selection = ParentSelection::kNearest;
 
   ArqConfig arq;
 
@@ -87,8 +86,6 @@ class FaultPlan : public TransportPolicy {
 
  private:
   FaultConfig config_;
-  uint64_t seed_;
-  int64_t run_;
   int num_vertices_;
   int root_;
   LinkLossProcess links_;

@@ -143,7 +143,7 @@ class Network {
   const Packetizer& packetizer() const { return packetizer_; }
   const EnergyModel& energy_model() const { return energy_; }
 
-  /// Replaces the routing tree (fault/tree_repair.cc after node churn) and
+  /// Replaces the routing tree (BuildLiveRoutingTree after node churn) and
   /// bumps the tree epoch. Stateful protocols compare the epoch against
   /// the one they initialized under and re-validate on mismatch instead of
   /// silently miscounting over a stale topology. ResetAccounting restores

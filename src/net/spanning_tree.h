@@ -7,6 +7,7 @@
 #ifndef WSNQ_NET_SPANNING_TREE_H_
 #define WSNQ_NET_SPANNING_TREE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "net/radio_graph.h"
@@ -57,6 +58,22 @@ enum class ParentSelection {
 StatusOr<SpanningTree> BuildRoutingTree(const RadioGraph& graph, int root,
                                         ParentSelection selection,
                                         uint64_t seed = 0);
+
+/// BFS hop distance of every vertex from `root` over the vertices with
+/// `alive[v] != 0` (all vertices when `alive` is null); -1 when the vertex
+/// is dead or cut off from the root by dead vertices.
+std::vector<int> LiveHopDepths(const RadioGraph& graph, int root,
+                               const std::vector<char>* alive);
+
+/// BuildRoutingTree restricted to the live subgraph: the routing tree
+/// rebuilt after node churn. `root` must be alive. Vertices with no live
+/// path to the root are detached (parent -1, depth 0, no children, absent
+/// from pre/post order), so protocols iterating the traversal orders never
+/// visit them. With every vertex alive the result equals BuildRoutingTree.
+SpanningTree BuildLiveRoutingTree(const RadioGraph& graph, int root,
+                                  const std::vector<char>& alive,
+                                  ParentSelection selection,
+                                  uint64_t seed = 0);
 
 }  // namespace wsnq
 

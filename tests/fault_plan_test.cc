@@ -2,7 +2,7 @@
 // counter-based keying helper, both link-loss processes (i.i.d. and
 // Gilbert–Elliott, including the stationary-rate and burst-length
 // calibration), the stop-and-wait ARQ exchange, the churn schedule, and
-// deterministic tree repair. Everything here is fully deterministic per
+// deterministic tree repair (BuildLiveRoutingTree). Everything here is fully deterministic per
 // seed, so the statistical tolerances are pinned, not flaky.
 
 #include <cmath>
@@ -20,7 +20,6 @@
 #include "fault/link_models.h"
 #include "fault/node_churn.h"
 #include "fault/scripted_oracle.h"
-#include "fault/tree_repair.h"
 #include "net/network.h"
 #include "net/spanning_tree.h"
 #include "tests/test_scenario.h"
@@ -344,7 +343,7 @@ TEST(NodeChurnTest, VictimChoiceIsDeterministicPerSeedAndRun) {
   EXPECT_NE(a.victims(), other_run.victims());  // holds for seed 17
 }
 
-// --- tree_repair.h --------------------------------------------------------
+// --- tree repair: BuildLiveRoutingTree (net/spanning_tree.h) -------------
 
 // Structural invariants every repaired tree must satisfy: live parents,
 // parent depth exactly one less, traversal orders covering exactly the
@@ -364,6 +363,7 @@ void ExpectValidRepairedTree(const SpanningTree& tree,
     if (!attached.count(v)) {
       // Detached: dead, or unreachable through live vertices.
       EXPECT_EQ(parent, -1);
+      EXPECT_EQ(tree.depth[static_cast<size_t>(v)], 0);
       EXPECT_TRUE(tree.children[static_cast<size_t>(v)].empty());
       continue;
     }
@@ -379,12 +379,32 @@ void ExpectValidRepairedTree(const SpanningTree& tree,
 TEST(TreeRepairTest, AllAliveMatchesTheOriginalDepths) {
   Network net = MakeRandomNetwork(30, 4);
   const std::vector<char> alive(static_cast<size_t>(net.num_vertices()), 1);
-  const SpanningTree repaired = RepairTree(
-      net.graph(), net.root(), alive, ParentSelection::kNearest, 99);
+  const SpanningTree repaired = BuildLiveRoutingTree(
+      net.graph(), net.root(), alive, ParentSelection::kNearest);
   ExpectValidRepairedTree(repaired, alive);
   // Repair is hop-optimal, so with nobody dead the BFS depths must match
   // the original tree's (parents may differ only among equal-depth ties).
   EXPECT_EQ(repaired.depth, net.tree().depth);
+}
+
+TEST(TreeRepairTest, AllAliveEqualsBuildRoutingTreeUnderEveryPolicy) {
+  Network net = MakeRandomNetwork(40, 8);
+  const std::vector<char> alive(static_cast<size_t>(net.num_vertices()), 1);
+  for (ParentSelection selection :
+       {ParentSelection::kNearest, ParentSelection::kDegreeBalanced,
+        ParentSelection::kRandom}) {
+    SCOPED_TRACE(static_cast<int>(selection));
+    auto full = BuildRoutingTree(net.graph(), net.root(), selection, 11);
+    ASSERT_TRUE(full.ok());
+    const SpanningTree live =
+        BuildLiveRoutingTree(net.graph(), net.root(), alive, selection, 11);
+    EXPECT_EQ(live.root, full.value().root);
+    EXPECT_EQ(live.parent, full.value().parent);
+    EXPECT_EQ(live.children, full.value().children);
+    EXPECT_EQ(live.depth, full.value().depth);
+    EXPECT_EQ(live.post_order, full.value().post_order);
+    EXPECT_EQ(live.pre_order, full.value().pre_order);
+  }
 }
 
 TEST(TreeRepairTest, OrphansReattachAboveCrashedInteriorNodes) {
@@ -393,14 +413,16 @@ TEST(TreeRepairTest, OrphansReattachAboveCrashedInteriorNodes) {
   Network line = MakeLineNetwork(5, 0);
   std::vector<char> alive(5, 1);
   alive[2] = 0;
-  const SpanningTree repaired = RepairTree(
-      line.graph(), 0, alive, ParentSelection::kNearest, 1);
+  const SpanningTree repaired = BuildLiveRoutingTree(
+      line.graph(), 0, alive, ParentSelection::kNearest);
   ExpectValidRepairedTree(repaired, alive);
   EXPECT_EQ(repaired.parent[1], 0);
   EXPECT_EQ(repaired.parent[2], -1);
   EXPECT_EQ(repaired.parent[3], -1);  // unreachable despite being alive
   EXPECT_EQ(repaired.parent[4], -1);
   EXPECT_EQ(repaired.post_order.size(), 2u);
+  EXPECT_EQ(LiveHopDepths(line.graph(), 0, &alive),
+            (std::vector<int>{0, 1, -1, -1, -1}));
 }
 
 TEST(TreeRepairTest, EveryPolicyYieldsAValidTreeUnderChurn) {
@@ -412,25 +434,12 @@ TEST(TreeRepairTest, EveryPolicyYieldsAValidTreeUnderChurn) {
        {ParentSelection::kNearest, ParentSelection::kDegreeBalanced,
         ParentSelection::kRandom}) {
     const SpanningTree repaired =
-        RepairTree(net.graph(), net.root(), alive, selection, 7);
+        BuildLiveRoutingTree(net.graph(), net.root(), alive, selection, 7);
     ExpectValidRepairedTree(repaired, alive);
     for (int v : churn.victims()) {
       EXPECT_EQ(repaired.parent[static_cast<size_t>(v)], -1);
     }
   }
-}
-
-TEST(TreeRepairTest, RandomSelectionIsKeyedNotStreamed) {
-  Network net = MakeRandomNetwork(40, 8);
-  std::vector<char> alive(static_cast<size_t>(net.num_vertices()), 1);
-  alive[3] = 0;
-  alive[9] = 0;
-  const SpanningTree a = RepairTree(net.graph(), net.root(), alive,
-                                    ParentSelection::kRandom, 1234);
-  const SpanningTree b = RepairTree(net.graph(), net.root(), alive,
-                                    ParentSelection::kRandom, 1234);
-  EXPECT_EQ(a.parent, b.parent);
-  EXPECT_EQ(a.post_order, b.post_order);
 }
 
 // --- fault_plan.h (policy-level glue) -------------------------------------
