@@ -41,14 +41,15 @@ void HbcProtocol::Initialize(Network* net,
   // Query dissemination (k and b).
   net->FloodFromRoot(2 * wire_.counter_bits);
 
-  DrillOptions drill;
-  drill.buckets = buckets_;
-  drill.direct_capacity =
+  // Direct retrieval is off under NTB (see the constructor), so every drill
+  // of either variant runs with these options.
+  drill_.buckets = buckets_;
+  drill_.direct_capacity =
       options_.direct_retrieval
           ? net->packetizer().ValuesPerPacket(wire_.value_bits)
           : 0;
   const DrillResult init = BAryDrill(net, values, range_min_, range_max_ + 1,
-                                     /*below_lb=*/0, k_, drill, wire_,
+                                     /*below_lb=*/0, k_, drill_, wire_,
                                      /*less_than_ub=*/-1, &ws_);
   quantile_ = init.quantile;
   if (options_.eliminate_threshold_broadcast) {
@@ -160,14 +161,8 @@ void HbcProtocol::RunBasicRound(Network* net,
   }
   WSNQ_TRACE_SCOPE("refinement", "drill", -1, {"lb", lb}, {"ub", ub},
                    {"b", buckets_});
-  DrillOptions drill;
-  drill.buckets = buckets_;
-  drill.direct_capacity =
-      options_.direct_retrieval
-          ? net->packetizer().ValuesPerPacket(wire_.value_bits)
-          : 0;
   const DrillResult refined = BAryDrill(net, values, lb, ub, below_lb, k_,
-                                        drill, wire_, less_than_ub, &ws_);
+                                        drill_, wire_, less_than_ub, &ws_);
   refinements_ = refined.rounds;
   quantile_ = refined.quantile;
   counts_ = refined.counts;
@@ -243,11 +238,9 @@ void HbcProtocol::RunNtbRound(Network* net,
   }
   WSNQ_TRACE_SCOPE("refinement", "ntb_drill", -1, {"lb", lb}, {"ub", ub},
                    {"b", buckets_});
-  DrillOptions drill;
-  drill.buckets = buckets_;
-  drill.direct_capacity = 0;  // incompatible with the interval filter
+  WSNQ_DCHECK_EQ(drill_.direct_capacity, 0);  // breaks the interval filter
   const DrillResult refined = BAryDrill(net, values, lb, ub, below_lb, k_,
-                                        drill, wire_, less_than_ub, &ws_);
+                                        drill_, wire_, less_than_ub, &ws_);
   refinements_ = refined.rounds;
   quantile_ = refined.quantile;
   // The filter becomes the last interval everyone saw; no broadcast.

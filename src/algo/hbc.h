@@ -88,6 +88,8 @@ class HbcProtocol : public QuantileProtocol {
   WireFormat wire_;
   Options options_;
   int buckets_ = 0;
+  /// Drill options of every b-ary drill, set by Initialize.
+  DrillOptions drill_;
 
   int64_t quantile_ = 0;
   RootCounts counts_;

@@ -27,25 +27,4 @@ int64_t BucketLayout::BucketUb(int i) const {
   return std::min(ub_, lb_ + (static_cast<int64_t>(i) + 1) * width_);
 }
 
-void SparseHistogram::Merge(const SparseHistogram& other) {
-  WSNQ_CHECK_EQ(counts_.size(), other.counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-}
-
-int SparseHistogram::NonEmpty() const {
-  int n = 0;
-  for (int64_t c : counts_) n += (c != 0);
-  return n;
-}
-
-int64_t SparseHistogram::Total() const {
-  int64_t t = 0;
-  for (int64_t c : counts_) t += c;
-  return t;
-}
-
-int64_t SparseHistogram::EncodedBits(const WireFormat& wire) const {
-  return EncodedRowBits(counts_.data(), counts_.size(), wire);
-}
-
 }  // namespace wsnq

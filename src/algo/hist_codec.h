@@ -5,8 +5,8 @@
 // most `b` buckets of equal width ceil((ub - lb) / b); the last bucket may
 // be narrower. On the wire a histogram is either dense (b counts) or
 // compressed by dropping empty buckets ((index, count) pairs, §4.1.1's
-// "compressing histograms by removing empty buckets"); EncodedBits picks
-// the cheaper form, as a real implementation would.
+// "compressing histograms by removing empty buckets"); EncodedRowBits
+// picks the cheaper form, as a real implementation would.
 
 #ifndef WSNQ_ALGO_HIST_CODEC_H_
 #define WSNQ_ALGO_HIST_CODEC_H_
@@ -64,35 +64,8 @@ class BucketLayout {
   int num_buckets_;
 };
 
-/// Sparse histogram counts over a BucketLayout, mergeable up the tree.
-class SparseHistogram {
- public:
-  explicit SparseHistogram(int num_buckets)
-      : counts_(static_cast<size_t>(num_buckets), 0) {}
-
-  void Add(int bucket, int64_t count = 1) {
-    counts_[static_cast<size_t>(bucket)] += count;
-  }
-  void Merge(const SparseHistogram& other);
-
-  int64_t count(int bucket) const {
-    return counts_[static_cast<size_t>(bucket)];
-  }
-  int num_buckets() const { return static_cast<int>(counts_.size()); }
-  int NonEmpty() const;
-  int64_t Total() const;
-  bool empty() const { return Total() == 0; }
-
-  /// Wire size: the cheaper of the dense and compressed encodings.
-  int64_t EncodedBits(const WireFormat& wire) const;
-
- private:
-  std::vector<int64_t> counts_;
-};
-
 /// Wire size of one histogram row of `buckets` counts: the cheaper of the
-/// dense and compressed encodings (SparseHistogram::EncodedBits on a flat
-/// row).
+/// dense and compressed encodings.
 inline int64_t EncodedRowBits(const int64_t* row, size_t buckets,
                               const WireFormat& wire) {
   int64_t nonempty = 0;
@@ -104,6 +77,15 @@ inline int64_t EncodedRowBits(const int64_t* row, size_t buckets,
   return std::min(dense, sparse);
 }
 
+/// The root's histogram after a HistogramConvergecast: its row in the
+/// workspace's histogram arena, valid until the next histogram wave on the
+/// same workspace.
+struct RootHistogram {
+  const int64_t* row;  ///< num_buckets counts
+  int64_t total;       ///< sum of the row
+  int64_t count(int bucket) const { return row[static_cast<size_t>(bucket)]; }
+};
+
 /// Aggregates at the root a histogram of `num_buckets` buckets over all
 /// measurements: `bucket_of(value)` names a value's bucket in
 /// [0, num_buckets), or -1 when the value is not counted. Every node
@@ -114,11 +96,11 @@ inline int64_t EncodedRowBits(const int64_t* row, size_t buckets,
 /// linear sweep over post order. A BucketLayout caller passes
 /// `Contains(v) ? BucketOf(v) : -1`.
 template <typename BucketOfFn>
-SparseHistogram HistogramConvergecast(Network* net,
-                                      const std::vector<int64_t>& values,
-                                      int num_buckets, BucketOfFn&& bucket_of,
-                                      const WireFormat& wire,
-                                      WaveWorkspace* ws) {
+RootHistogram HistogramConvergecast(Network* net,
+                                    const std::vector<int64_t>& values,
+                                    int num_buckets, BucketOfFn&& bucket_of,
+                                    const WireFormat& wire,
+                                    WaveWorkspace* ws) {
   const size_t buckets = static_cast<size_t>(num_buckets);
   ws->PrepareHist(static_cast<size_t>(net->num_vertices()), buckets);
   struct Ops {
@@ -164,14 +146,13 @@ SparseHistogram HistogramConvergecast(Network* net,
   Ops ops{net, values, bucket_of, buckets, wire, ws};
   RunConvergecastWave(net, ops);
   const int root = net->root();
-  SparseHistogram result(num_buckets);
-  if (ws->HistTotal(root) > 0) {
-    const int64_t* row = ws->HistRow(root);
-    for (size_t b = 0; b < buckets; ++b) {
-      if (row[b] != 0) result.Add(static_cast<int>(b), row[b]);
-    }
-  }
+  // HistRow zeroes a row no child merged into, so an empty histogram reads
+  // as all zeros.
+  const RootHistogram result{ws->HistRow(root), ws->HistTotal(root)};
 #ifndef NDEBUG
+  int64_t row_total = 0;
+  for (size_t b = 0; b < buckets; ++b) row_total += result.row[b];
+  WSNQ_DCHECK_EQ(row_total, result.total);
   if (!net->lossy()) {
     // Conservation through the convergecast: the root's histogram holds
     // exactly one count per counted sensor measurement.
@@ -180,7 +161,7 @@ SparseHistogram HistogramConvergecast(Network* net,
       if (!net->is_root(v) && bucket_of(values[static_cast<size_t>(v)]) >= 0)
         ++expect;
     }
-    WSNQ_DCHECK_EQ(result.Total(), expect);
+    WSNQ_DCHECK_EQ(result.total, expect);
   }
 #endif
   return result;

@@ -63,15 +63,14 @@ void LcllProtocol::Initialize(Network* net,
   // Query dissemination.
   net->FloodFromRoot(wire_.counter_bits);
   // Initial quantile via a full-range b-ary drill.
-  DrillOptions drill;
-  drill.buckets = buckets_;
-  drill.direct_capacity =
+  drill_.buckets = buckets_;
+  drill_.direct_capacity =
       options_.direct_retrieval
           ? net->packetizer().ValuesPerPacket(wire_.value_bits)
           : 0;
   const DrillResult init =
       BAryDrill(net, values, range_min_, range_max_ + 1,
-                /*below_lb=*/0, k_, drill, wire_, /*less_than_ub=*/-1, &ws_);
+                /*below_lb=*/0, k_, drill_, wire_, /*less_than_ub=*/-1, &ws_);
   quantile_ = init.quantile;
   counts_ = init.counts;
   // Focus the window on the quantile and learn its histogram.
@@ -234,7 +233,7 @@ void LcllProtocol::Reestablish(Network* net,
 
   // Full-network histogram convergecast over the b + 2 logical buckets:
   // bucket 0 is everything below the window, b + 1 everything above it.
-  const SparseHistogram h = HistogramConvergecast(
+  const RootHistogram h = HistogramConvergecast(
       net, values, buckets_ + 2,
       [this](int64_t v) { return BucketId(v) + 1; }, wire_, &ws_);
   below_ = h.count(0);
@@ -261,7 +260,7 @@ void LcllProtocol::Slip(Network* net, const std::vector<int64_t>& values,
   ++refinements_;
   const BucketLayout layout(new_lo, new_hi, buckets_);
   WSNQ_CHECK_EQ(layout.width(), width_);
-  const SparseHistogram nh = HistogramConvergecast(
+  const RootHistogram nh = HistogramConvergecast(
       net, values, layout.num_buckets(),
       [&layout](int64_t v) {
         return layout.Contains(v) ? layout.BucketOf(v) : -1;
@@ -353,13 +352,7 @@ void LcllProtocol::ResolveBucket(Network* net,
   // delta, so the exact value must be re-resolved whenever it is needed.
   WSNQ_TRACE_SCOPE("refinement", "resolve_bucket", -1, {"bucket", j},
                    {"lo", blo}, {"hi", bhi});
-  DrillOptions drill;
-  drill.buckets = buckets_;
-  drill.direct_capacity =
-      options_.direct_retrieval
-          ? net->packetizer().ValuesPerPacket(wire_.value_bits)
-          : 0;
-  const DrillResult result = BAryDrill(net, values, blo, bhi, cl, k_, drill,
+  const DrillResult result = BAryDrill(net, values, blo, bhi, cl, k_, drill_,
                                        wire_, /*less_than_ub=*/-1, &ws_);
   refinements_ += result.rounds;
   quantile_ = result.quantile;
@@ -411,15 +404,9 @@ void LcllProtocol::RunRound(Network* net,
         return;
       }
       // Hierarchical: drill the whole lower boundary region, then zoom out.
-      DrillOptions drill;
-      drill.buckets = buckets_;
-      drill.direct_capacity =
-          options_.direct_retrieval
-              ? net->packetizer().ValuesPerPacket(wire_.value_bits)
-              : 0;
       const DrillResult result =
           BAryDrill(net, values_by_vertex, range_min_, window_lo_,
-                    /*below_lb=*/0, k_, drill, wire_, /*less_than_ub=*/-1,
+                    /*below_lb=*/0, k_, drill_, wire_, /*less_than_ub=*/-1,
                     &ws_);
       refinements_ += result.rounds;
       quantile_ = result.quantile;
@@ -442,15 +429,9 @@ void LcllProtocol::RunRound(Network* net,
         Slip(net, values_by_vertex, /*down=*/false);
         continue;
       }
-      DrillOptions drill;
-      drill.buckets = buckets_;
-      drill.direct_capacity =
-          options_.direct_retrieval
-              ? net->packetizer().ValuesPerPacket(wire_.value_bits)
-              : 0;
       const DrillResult result = BAryDrill(
           net, values_by_vertex, window_lo_ + span(), range_max_ + 1,
-          below_ + in_window, k_, drill, wire_, /*less_than_ub=*/-1, &ws_);
+          below_ + in_window, k_, drill_, wire_, /*less_than_ub=*/-1, &ws_);
       refinements_ += result.rounds;
       quantile_ = result.quantile;
       counts_ = result.counts;

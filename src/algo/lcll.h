@@ -30,6 +30,7 @@
 
 #include "algo/common.h"
 #include "algo/protocol.h"
+#include "algo/snapshot_bary.h"
 
 namespace wsnq {
 
@@ -99,6 +100,8 @@ class LcllProtocol : public QuantileProtocol {
   WireFormat wire_;
   Options options_;
   int buckets_ = 0;
+  /// Drill options of every b-ary drill, set by Initialize.
+  DrillOptions drill_;
   int64_t width_ = 1;
   /// log2(width_) when it is a power of two, else -1: BucketId runs twice
   /// per sensor per validation wave, so the division matters.

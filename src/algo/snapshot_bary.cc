@@ -68,7 +68,7 @@ DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
     // Refinement request + histogram response.
     const BucketLayout layout(lb, ub, options.buckets);
     net->FloodFromRoot(2 * wire.bound_bits);
-    const SparseHistogram hist = HistogramConvergecast(
+    const RootHistogram hist = HistogramConvergecast(
         net, values, layout.num_buckets(),
         [&layout](int64_t v) {
           return layout.Contains(v) ? layout.BucketOf(v) : -1;
@@ -78,7 +78,7 @@ DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
     if (cl < 0) {
       // Downward HBC refinement: derive the count below lb from the count
       // below ub and the interval population (§4.1.1).
-      cl = less_than_ub - hist.Total();
+      cl = less_than_ub - hist.total;
       if (net->lossy()) {
         cl = std::clamp<int64_t>(cl, 0, k - 1);
       } else {
@@ -89,15 +89,15 @@ DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
     result.last_lb = lb;
     result.last_ub = ub;
     result.below_last = cl;
-    result.in_last = hist.Total();
+    result.in_last = hist.total;
     if (count_in >= 0 && !net->lossy()) {
-      WSNQ_CHECK_EQ(hist.Total(), count_in);
+      WSNQ_CHECK_EQ(hist.total, count_in);
     }
 
     // Locate the bucket containing the k-th value.
     int64_t running = cl;
     int bucket = -1;
-    for (int j = 0; j < hist.num_buckets(); ++j) {
+    for (int j = 0; j < layout.num_buckets(); ++j) {
       if (running + hist.count(j) >= k) {
         bucket = j;
         break;
@@ -109,7 +109,7 @@ DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
       // descend into the last non-empty bucket (or give up on an empty
       // histogram and report the interval's lower bound).
       WSNQ_CHECK(net->lossy());
-      for (int j = hist.num_buckets() - 1; j >= 0; --j) {
+      for (int j = layout.num_buckets() - 1; j >= 0; --j) {
         if (hist.count(j) > 0) {
           bucket = j;
           break;

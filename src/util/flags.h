@@ -45,6 +45,10 @@ class FlagParser {
   std::vector<std::string> errors_;
 };
 
+/// Splits a comma-separated flag value ("IQ,TAG") into its fields, empty
+/// ones included: "" gives {""} and "a,,b" gives {"a", "", "b"}.
+std::vector<std::string> SplitCommas(const std::string& raw);
+
 }  // namespace wsnq
 
 #endif  // WSNQ_UTIL_FLAGS_H_

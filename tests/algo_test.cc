@@ -333,26 +333,17 @@ TEST(BucketLayoutTest, MoreBucketsThanValues) {
   EXPECT_EQ(layout.num_buckets(), 3);
 }
 
-TEST(SparseHistogramTest, MergeAndEncoding) {
-  SparseHistogram a(8), b(8);
-  a.Add(1);
-  a.Add(1);
-  a.Add(5);
-  b.Add(5);
-  b.Add(7);
-  a.Merge(b);
-  EXPECT_EQ(a.count(1), 2);
-  EXPECT_EQ(a.count(5), 2);
-  EXPECT_EQ(a.count(7), 1);
-  EXPECT_EQ(a.Total(), 5);
-  EXPECT_EQ(a.NonEmpty(), 3);
+TEST(HistCodecTest, EncodedRowBitsPicksTheCheaperEncoding) {
   WireFormat wire;
   // Sparse: 3 * (8 + 16) = 72 < dense 8 * 16 = 128.
-  EXPECT_EQ(a.EncodedBits(wire), 72);
+  const int64_t sparse_row[8] = {0, 2, 0, 0, 0, 2, 0, 1};
+  EXPECT_EQ(EncodedRowBits(sparse_row, 8, wire), 72);
   // A full histogram prefers the dense encoding.
-  SparseHistogram full(4);
-  for (int i = 0; i < 4; ++i) full.Add(i);
-  EXPECT_EQ(full.EncodedBits(wire), 4 * 16);
+  const int64_t full_row[4] = {1, 1, 1, 1};
+  EXPECT_EQ(EncodedRowBits(full_row, 4, wire), 4 * 16);
+  // An empty row costs nothing in the sparse form.
+  const int64_t empty_row[4] = {0, 0, 0, 0};
+  EXPECT_EQ(EncodedRowBits(empty_row, 4, wire), 0);
 }
 
 TEST(CostModelTest, ClosedFormSolvesStationarity) {

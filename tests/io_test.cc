@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +140,14 @@ TEST(FlagParserTest, ReportsUnusedFlags) {
   const auto unused = flags.UnusedFlags();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(FlagParserTest, SplitCommasKeepsEmptyFields) {
+  EXPECT_EQ(SplitCommas("IQ,TAG"), (std::vector<std::string>{"IQ", "TAG"}));
+  EXPECT_EQ(SplitCommas("IQ"), (std::vector<std::string>{"IQ"}));
+  EXPECT_EQ(SplitCommas(""), (std::vector<std::string>{""}));
+  EXPECT_EQ(SplitCommas("a,,b,"),
+            (std::vector<std::string>{"a", "", "b", ""}));
 }
 
 }  // namespace

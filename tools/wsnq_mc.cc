@@ -41,21 +41,6 @@ namespace {
 
 using namespace wsnq;
 
-std::vector<std::string> SplitCommas(const std::string& raw) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= raw.size()) {
-    const size_t comma = raw.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(raw.substr(start));
-      break;
-    }
-    out.push_back(raw.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 int WriteFile(const std::string& path, const std::string& content) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {

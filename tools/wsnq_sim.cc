@@ -59,21 +59,6 @@ namespace {
 
 using namespace wsnq;
 
-std::vector<std::string> SplitCommas(const std::string& raw) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= raw.size()) {
-    const size_t comma = raw.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(raw.substr(start));
-      break;
-    }
-    out.push_back(raw.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 int ListAlgorithms() {
   std::printf("exact:         TAG POS HBC HBC-NTB IQ LCLL-H LCLL-S SNAPSHOT "
               "SWITCH\n");
