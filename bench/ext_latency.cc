@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       static_cast<size_t>(runs), std::vector<RunRow>(algorithms.size()));
   // Threads left over after the run-level fan-out drive in-run subtree
   // parallelism, exactly like core/experiment.cc's ExecuteRun; the wave
-  // engine's record/replay fold keeps stdout byte-identical either way.
+  // engine's ordered fold keeps stdout byte-identical either way.
   const int resolved = ResolveThreads(config.threads);
   const int pool_threads = std::min<int>(resolved, runs);
   const int wave_threads = std::max(1, resolved / std::max(1, pool_threads));

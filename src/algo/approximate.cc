@@ -58,13 +58,12 @@ struct QdigestOps {
 struct GkOps {
   Network* net;
   const std::vector<int64_t>& values;
-  double epsilon;
   const WireFormat& wire;
   std::vector<GkSummary>& rows;
 
   WaveSend Process(int v, WaveLane& /*lane*/) {
     GkSummary& summary = rows[static_cast<size_t>(v)];
-    summary = GkSummary(epsilon);
+    summary.Clear();  // rows keep their buffers across rounds
     if (!net->is_root(v)) summary.Add(values[static_cast<size_t>(v)]);
     for (int child : net->tree().children[static_cast<size_t>(v)]) {
       summary.Merge(rows[static_cast<size_t>(child)]);
@@ -73,7 +72,7 @@ struct GkOps {
     send.payload_bits = summary.EncodedBits(wire);
     return send;
   }
-  void OnLost(int v) { rows[static_cast<size_t>(v)] = GkSummary(epsilon); }
+  void OnLost(int v) { rows[static_cast<size_t>(v)].Clear(); }
 };
 
 /// A node uplinks the sampled values of its subtree iff there are any.
@@ -167,7 +166,7 @@ void GkProtocol::RunRound(Network* net,
 
   const size_t n = static_cast<size_t>(net->num_vertices());
   if (rows_.size() != n) rows_.assign(n, GkSummary(options_.epsilon));
-  GkOps ops{net, values_by_vertex, options_.epsilon, wire_, rows_};
+  GkOps ops{net, values_by_vertex, wire_, rows_};
   RunConvergecastWave(net, ops);
   const GkSummary& root_summary = rows_[static_cast<size_t>(net->root())];
   if (root_summary.total() == 0) return;

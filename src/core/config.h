@@ -74,8 +74,8 @@ struct SimulationConfig {
   int threads = 0;
 
   /// Partition every convergecast wave at a balanced cut of the routing
-  /// tree's subtrees and simulate the parts as independent pool tasks
-  /// (net/wave.h), replaying recorded sends in exact serial post order.
+  /// tree's subtrees and simulate and account the parts as independent
+  /// pool tasks (net/wave.h), folding them in exact serial post order.
   /// Aggregates, metrics, and traces are bit-identical to the serial sweep
   /// for every thread count and partition choice; off by default.
   bool subtree_parallel = false;

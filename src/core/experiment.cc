@@ -133,7 +133,7 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   const int threads = std::min<int>(resolved, runs);
   // Threads left over after the run-level fan-out go to in-run subtree
   // parallelism (e.g. 8 threads x 4 runs -> 2 wave threads per run). The
-  // wave engine's record/replay fold makes the split invisible in every
+  // wave engine's ordered fold makes the split invisible in every
   // output bit, so this only reshapes where the wall-clock goes.
   const int wave_threads = std::max(1, resolved / std::max(1, threads));
   ThreadPool pool(threads);

@@ -140,7 +140,7 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
     deploy = std::move(built);
   }
 
-  const uint64_t tree_salt = config.seed * 53 + static_cast<uint64_t>(run);
+  const uint64_t tree_salt = RoutingTreeSalt(config, run);
   const std::string tree_key = internal::RoutingTreeKey(
       deploy_key, deploy->root, config.tree_strategy, tree_salt);
   std::shared_ptr<const SpanningTree> tree =
@@ -247,7 +247,7 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
   const int root = static_cast<int>(
       rng.UniformInt(0, static_cast<int64_t>(graph->size()) - 1));
 
-  const uint64_t tree_salt = config.seed * 53 + static_cast<uint64_t>(run);
+  const uint64_t tree_salt = RoutingTreeSalt(config, run);
   const std::string tree_key =
       internal::RoutingTreeKey(deploy_key, root, config.tree_strategy,
                                tree_salt);
@@ -295,6 +295,10 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
 
 }  // namespace
 
+uint64_t RoutingTreeSalt(const SimulationConfig& config, int run) {
+  return config.seed * 53 + static_cast<uint64_t>(run);
+}
+
 StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run) {
   return BuildScenario(config, run, nullptr);
 }
@@ -319,7 +323,8 @@ StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run,
     Network* network = scenario.value().network.get();
     network->set_transport_policy(std::make_unique<FaultPlan>(
         config.fault, config.seed, run, network->num_vertices(),
-        network->root()));
+        network->root(), config.tree_strategy,
+        RoutingTreeSalt(config, run)));
   }
   return scenario;
 }

@@ -113,6 +113,10 @@ struct Scenario {
   mutable std::vector<int64_t> scratch_row_;
 };
 
+/// The salt of run `run`'s routing tree (BuildRoutingTree's `seed`; only
+/// ParentSelection::kRandom reads it). Churn repair rebuilds with it too.
+uint64_t RoutingTreeSalt(const SimulationConfig& config, int run);
+
 /// Builds the scenario of run `run` under `config`.
 StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run);
 

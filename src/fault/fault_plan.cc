@@ -11,10 +11,13 @@
 namespace wsnq {
 
 FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
-                     int num_vertices, int root)
+                     int num_vertices, int root,
+                     ParentSelection tree_selection, uint64_t tree_salt)
     : config_(config),
       num_vertices_(num_vertices),
       root_(root),
+      tree_selection_(tree_selection),
+      tree_salt_(tree_salt),
       links_(config.loss_model, config.loss, config.burst_len, seed, run,
              num_vertices),
       churn_(config.crash_nodes, config.crash_round, config.crash_len, seed,
@@ -25,11 +28,14 @@ FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
 
 FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
                      int num_vertices, int root,
+                     ParentSelection tree_selection, uint64_t tree_salt,
                      std::unique_ptr<FrameLossOracle> scripted,
                      const std::vector<int>& crash_victims)
     : config_(config),
       num_vertices_(num_vertices),
       root_(root),
+      tree_selection_(tree_selection),
+      tree_salt_(tree_salt),
       links_(config.loss_model, config.loss, config.burst_len, seed, run,
              num_vertices),
       scripted_(std::move(scripted)),
@@ -76,12 +82,11 @@ void FaultPlan::OnRoundStart(int64_t round, Network* net) {
   last_alive_ = alive;
 
   if (!config_.repair) return;
-  // Rebuild the live routing tree (nearest min-hop live parent, as the
-  // default tree) and hand it to the network; the epoch bump makes every
-  // stateful protocol re-validate instead of silently miscounting over a
-  // stale topology.
+  // Rebuild the live routing tree under the run's own policy and salt and
+  // hand it to the network; the epoch bump makes every stateful protocol
+  // re-validate instead of silently miscounting over a stale topology.
   SpanningTree repaired = BuildLiveRoutingTree(net->graph(), root_, alive,
-                                               ParentSelection::kNearest);
+                                               tree_selection_, tree_salt_);
   const std::vector<int>& old_parent = net->tree().parent;
   bool moved = false;
   for (int v = 0; v < num_vertices_; ++v) {

@@ -17,6 +17,7 @@
 #include "fault/link_models.h"
 #include "fault/node_churn.h"
 #include "net/network.h"
+#include "net/spanning_tree.h"
 
 namespace wsnq {
 
@@ -37,8 +38,8 @@ struct FaultConfig {
   /// Rounds they stay down; <= 0 means they never recover.
   int64_t crash_len = 0;
 
-  /// Re-attach orphaned subtrees to live parents on every churn
-  /// transition (each to its nearest min-hop live parent); protocols
+  /// Rebuild the routing tree over the live vertices on every churn
+  /// transition, with the run's own parent-selection policy; protocols
   /// observe the tree-epoch bump and re-validate.
   bool repair = true;
 
@@ -50,11 +51,14 @@ struct FaultConfig {
 /// One run's fault injection, bound to a Network as its transport policy.
 /// Owns the logical-tick clock the link chains and ARQ timeouts advance
 /// on; OnReset rewinds everything so the compared protocols of one run
-/// replay the identical fault sequence.
+/// replay the identical fault sequence. Tree repair rebuilds with
+/// `tree_selection` and `tree_salt`, the policy and salt the run's routing
+/// tree was built with, so a fully recovered network holds its own tree.
 class FaultPlan : public TransportPolicy {
  public:
   FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
-            int num_vertices, int root);
+            int num_vertices, int root, ParentSelection tree_selection,
+            uint64_t tree_salt);
 
   /// Scripted-mode plan for the model checker: frame-loss verdicts come
   /// from `scripted` (owned — it must outlive every later OnReset on the
@@ -62,8 +66,8 @@ class FaultPlan : public TransportPolicy {
   /// and the crash victims are the explicit `crash_victims` rather than a
   /// keyed draw. `config.crash_round`/`crash_len` still set the window.
   FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
-            int num_vertices, int root,
-            std::unique_ptr<FrameLossOracle> scripted,
+            int num_vertices, int root, ParentSelection tree_selection,
+            uint64_t tree_salt, std::unique_ptr<FrameLossOracle> scripted,
             const std::vector<int>& crash_victims);
 
   void OnRoundStart(int64_t round, Network* net) override;
@@ -88,6 +92,8 @@ class FaultPlan : public TransportPolicy {
   FaultConfig config_;
   int num_vertices_;
   int root_;
+  ParentSelection tree_selection_;
+  uint64_t tree_salt_;
   LinkLossProcess links_;
   /// Non-null in scripted (model-checking) mode; then frame_oracle_ points
   /// here instead of at links_.

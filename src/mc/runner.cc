@@ -161,6 +161,7 @@ ScheduleResult RunSchedule(McContext* context, const McOptions& options,
   ScriptedFaultOracle* oracle = scripted.get();
   net->set_transport_policy(std::make_unique<FaultPlan>(
       fault, options.seed, /*run=*/0, net->num_vertices(), net->root(),
+      context->config.tree_strategy, RoutingTreeSalt(context->config, 0),
       std::move(scripted), victims));
 
   const Scenario& scenario = context->scenario;

@@ -30,11 +30,16 @@ struct EnergyModel {
   /// Initial per-node energy supply [mJ] (§5.1.4: 30 mJ).
   double initial_energy_mj = 30.0;
 
+  /// Energy to transmit one bit over range `rho` meters [mJ/bit]. A
+  /// Network evaluates it once at construction (its rho never changes).
+  double SendCostPerBit(double rho) const {
+    return alpha_tx_mj_per_bit +
+           beta_mj_per_bit_mp * std::pow(rho, path_loss_exponent);
+  }
+
   /// Energy to transmit `bits` over range `rho` meters [mJ].
   double SendCost(int64_t bits, double rho) const {
-    return static_cast<double>(bits) *
-           (alpha_tx_mj_per_bit +
-            beta_mj_per_bit_mp * std::pow(rho, path_loss_exponent));
+    return static_cast<double>(bits) * SendCostPerBit(rho);
   }
 
   /// Energy to receive `bits` [mJ].

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/wave.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace wsnq {
@@ -20,6 +22,7 @@ Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
       energy_(energy),
       packetizer_(packetizer) {
   WSNQ_CHECK(graph_ != nullptr);
+  send_mj_per_bit_ = energy_.SendCostPerBit(graph_->rho());
   WSNQ_CHECK_EQ(graph_->size(), tree_.size());
   round_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
   total_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
@@ -59,21 +62,10 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
 
   if (policy_ == nullptr) {
     // The paper's reliable medium: one frame, always delivered.
-    Debit(v, energy_.SendCost(msg.total_bits, graph_->rho()));
-    round_packets_ += msg.packets;
-    total_packets_ += msg.packets;
-    WSNQ_TRACE_EVENT("net", "uplink", v, {"bits", payload_bits},
-                     {"packets", msg.packets}, {"lost", 0});
-    if (observer_ != nullptr) {
-      SendObserver::SendInfo info;
-      info.kind = SendObserver::SendKind::kUplink;
-      info.sender = v;
-      info.payload_bits = payload_bits;
-      info.wire_bits = msg.total_bits;
-      info.packets = msg.packets;
-      observer_->OnSend(info);
-    }
-    Debit(parent, energy_.RecvCost(msg.total_bits));
+    DebitSend(v, msg.total_bits);
+    AddPackets(msg.packets);
+    ReportUplink(v, payload_bits, msg);
+    DebitRecv(parent, msg.total_bits);
     return true;
   }
 
@@ -97,13 +89,14 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   // frame it heard plus every ack it sent. A crashed parent hears and
   // sends nothing, so its counts are zero and it is debited nothing.
   Debit(v, static_cast<double>(o.data_frames) *
-                   energy_.SendCost(msg.total_bits, graph_->rho()) +
+                   (static_cast<double>(msg.total_bits) * send_mj_per_bit_) +
                static_cast<double>(o.ack_frames_received) *
                    energy_.RecvCost(ack.total_bits));
   Debit(parent, static_cast<double>(o.data_frames_received) *
                         energy_.RecvCost(msg.total_bits) +
                     static_cast<double>(o.ack_frames) *
-                        energy_.SendCost(ack.total_bits, graph_->rho()));
+                        (static_cast<double>(ack.total_bits) *
+                         send_mj_per_bit_));
   const int64_t air_packets =
       static_cast<int64_t>(o.data_frames) * msg.packets +
       static_cast<int64_t>(o.ack_frames) * ack.packets;
@@ -140,6 +133,42 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   return o.delivered;
 }
 
+bool Network::reporting() const {
+  return observer_ != nullptr || trace::Current() != nullptr;
+}
+
+void Network::ReportUplink(int v, int64_t payload_bits,
+                           const PacketizedMessage& msg) {
+  WSNQ_TRACE_EVENT("net", "uplink", v, {"bits", payload_bits},
+                   {"packets", msg.packets}, {"lost", 0});
+  if (observer_ != nullptr) {
+    SendObserver::SendInfo info;
+    info.kind = SendObserver::SendKind::kUplink;
+    info.sender = v;
+    info.payload_bits = payload_bits;
+    info.wire_bits = msg.total_bits;
+    info.packets = msg.packets;
+    observer_->OnSend(info);
+  }
+}
+
+void Network::ReportBroadcast(int v, int64_t payload_bits,
+                              const PacketizedMessage& msg) {
+  WSNQ_TRACE_EVENT(
+      "net", "broadcast", v, {"bits", payload_bits}, {"packets", msg.packets},
+      {"children",
+       static_cast<int64_t>(tree_.children[static_cast<size_t>(v)].size())});
+  if (observer_ != nullptr) {
+    SendObserver::SendInfo info;
+    info.kind = SendObserver::SendKind::kBroadcast;
+    info.sender = v;
+    info.payload_bits = payload_bits;
+    info.wire_bits = msg.total_bits;
+    info.packets = msg.packets;
+    observer_->OnSend(info);
+  }
+}
+
 // Defined inline ahead of its two callers so FloodFromRoot's per-vertex
 // loop compiles without a call per vertex.
 inline void Network::Broadcast(int v, int64_t payload_bits,
@@ -154,41 +183,76 @@ inline void Network::Broadcast(int v, int64_t payload_bits,
     if (policy_ != nullptr && policy_->IsDown(child)) continue;
     Debit(child, recv_cost);
   }
-  round_packets_ += msg.packets;
-  total_packets_ += msg.packets;
-  WSNQ_TRACE_EVENT("net", "broadcast", v, {"bits", payload_bits},
-                   {"packets", msg.packets},
-                   {"children", static_cast<int64_t>(kids.size())});
-  if (observer_ != nullptr) {
-    SendObserver::SendInfo info;
-    info.kind = SendObserver::SendKind::kBroadcast;
-    info.sender = v;
-    info.payload_bits = payload_bits;
-    info.wire_bits = msg.total_bits;
-    info.packets = msg.packets;
-    observer_->OnSend(info);
-  }
+  AddPackets(msg.packets);
+  ReportBroadcast(v, payload_bits, msg);
 }
 
 void Network::BroadcastToChildren(int v, int64_t payload_bits) {
   const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
   Broadcast(v, payload_bits, msg,
-            energy_.SendCost(msg.total_bits, graph_->rho()),
+            static_cast<double>(msg.total_bits) * send_mj_per_bit_,
             energy_.RecvCost(msg.total_bits));
 }
 
 void Network::FloodFromRoot(int64_t payload_bits) {
+  prof::ScopedTimer timer("net/flood");
   ++round_floods_;
   ++total_floods_;
   WSNQ_TRACE_SCOPE("net", "flood", -1, {"bits", payload_bits});
   // Every broadcast of a flood carries the same payload, so the packetize
   // and energy math is computed once for the whole flood.
   const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
-  const double send_cost = energy_.SendCost(msg.total_bits, graph_->rho());
+  const double send_cost =
+      static_cast<double>(msg.total_bits) * send_mj_per_bit_;
   const double recv_cost = energy_.RecvCost(msg.total_bits);
-  for (int v : tree_.pre_order) {
-    Broadcast(v, payload_bits, msg, send_cost, recv_cost);
+  if (wave_executor_ == nullptr || policy_ != nullptr) {
+    for (int v : tree_.pre_order) {
+      Broadcast(v, payload_bits, msg, send_cost, recv_cost);
+    }
+    return;
   }
+  AddPackets(DebitFloodOverCut(msg, send_cost, recv_cost));
+  if (!reporting()) return;
+  for (int v : tree_.pre_order) {
+    if (!tree_.children[static_cast<size_t>(v)].empty()) {
+      ReportBroadcast(v, payload_bits, msg);
+    }
+  }
+}
+
+int64_t Network::DebitFloodOverCut(const PacketizedMessage& msg,
+                                   double send_cost, double recv_cost) {
+  // Every vertex hears its parent once and then (unless a leaf) transmits
+  // once, so its two debits land in the serial pre-order sequence as long
+  // as each parent broadcasts before its children. The fold vertices go
+  // first, in reverse step order (a fold vertex's step follows every step
+  // of its subtree); that also gives every part top its parent's debit.
+  // Each part then walks its post-order range backwards, which again puts
+  // every parent ahead of its children, and touches only its own
+  // vertices' slots.
+  const SubtreeCut& cut = wave_executor_->CutFor(*this);
+  int64_t packets = 0;
+  for (auto step = cut.steps.rbegin(); step != cut.steps.rend(); ++step) {
+    if (step->part < 0 && DebitBroadcast(step->vertex, send_cost, recv_cost)) {
+      packets += msg.packets;
+    }
+  }
+  auto& ledgers = wave_executor_->Ledgers(cut.parts.size());
+  const Status status = wave_executor_->pool()->ParallelFor(
+      static_cast<int64_t>(cut.parts.size()), [&](int64_t p) {
+        const SubtreeCut::Part& part = cut.parts[static_cast<size_t>(p)];
+        int64_t part_packets = 0;
+        for (size_t i = part.end; i-- > part.begin;) {
+          if (DebitBroadcast(tree_.post_order[i], send_cost, recv_cost)) {
+            part_packets += msg.packets;
+          }
+        }
+        ledgers[static_cast<size_t>(p)].packets = part_packets;
+        return Status::Ok();
+      });
+  WSNQ_CHECK(status.ok());
+  for (size_t p = 0; p < cut.parts.size(); ++p) packets += ledgers[p].packets;
+  return packets;
 }
 
 void Network::ResetAccounting() {

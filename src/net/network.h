@@ -193,6 +193,46 @@ class Network {
     total_values_ += count;
   }
 
+  // --- Subtree-parallel accounting (net/wave.h) ----------------------------
+  //
+  // A reliable-medium transmission split into its pieces, so pool tasks can
+  // account disjoint whole subtrees concurrently. The Debit* helpers write
+  // only the energy slots of the vertices they name; the shared counters,
+  // trace events and observer callbacks stay on the calling thread.
+
+  /// Transmit energy of one frame of `wire_bits` on-air bits, paid by `v`.
+  void DebitSend(int v, int64_t wire_bits) {
+    Debit(v, static_cast<double>(wire_bits) * send_mj_per_bit_);
+  }
+  /// Receive energy of one frame of `wire_bits` on-air bits, paid by `v`.
+  void DebitRecv(int v, int64_t wire_bits) {
+    Debit(v, energy_.RecvCost(wire_bits));
+  }
+  /// The debits of one reliable-medium broadcast from `v`: `send_cost` to
+  /// `v`, `recv_cost` to each child. Returns false (and debits nothing)
+  /// for a leaf, which does not transmit.
+  bool DebitBroadcast(int v, double send_cost, double recv_cost) {
+    const auto& kids = tree_.children[static_cast<size_t>(v)];
+    if (kids.empty()) return false;
+    Debit(v, send_cost);
+    for (int child : kids) Debit(child, recv_cost);
+    return true;
+  }
+  /// Adds on-air `packets` to the round and lifetime counters. Calling
+  /// thread only.
+  void AddPackets(int64_t packets) {
+    round_packets_ += packets;
+    total_packets_ += packets;
+  }
+  /// True when transmissions must be reported: the calling thread has a
+  /// trace buffer current, or a SendObserver is installed.
+  bool reporting() const;
+  /// The trace event and observer callback of one delivered reliable
+  /// uplink / one broadcast, without its accounting. Calling thread only.
+  void ReportUplink(int v, int64_t payload_bits, const PacketizedMessage& msg);
+  void ReportBroadcast(int v, int64_t payload_bits,
+                       const PacketizedMessage& msg);
+
   /// Registers `observer` (nullptr to detach) for every subsequent
   /// transmission. Not owned; the caller must outlive the registration and
   /// detach before destroying the observer.
@@ -252,6 +292,11 @@ class Network {
   void Broadcast(int v, int64_t payload_bits, const PacketizedMessage& msg,
                  double send_cost, double recv_cost);
 
+  /// FloodFromRoot's debits over the wave executor's cut (reliable medium
+  /// only); returns the flood's on-air packets.
+  int64_t DebitFloodOverCut(const PacketizedMessage& msg, double send_cost,
+                            double recv_cost);
+
   void ClearRoundCounters();
 
   /// Immutable; possibly aliased by other Networks (never null).
@@ -259,6 +304,9 @@ class Network {
   SpanningTree tree_;
   EnergyModel energy_;
   Packetizer packetizer_;
+  /// energy_.SendCostPerBit(rho), evaluated once: every send costs
+  /// wire bits x this, the same product EnergyModel::SendCost forms.
+  double send_mj_per_bit_;
 
   std::unique_ptr<TransportPolicy> policy_;
   SpanningTree pristine_tree_;  ///< snapshot for ResetAccounting (policy only)

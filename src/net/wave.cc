@@ -67,7 +67,7 @@ SubtreeCut ComputeSubtreeCut(const SpanningTree& tree, int target_parts) {
   }
 
   // Group consecutive whole subtrees into parts of ~target positions; fold
-  // vertices are barriers (their children's parts must be replayed first).
+  // vertices are barriers (their children's parts must be folded first).
   size_t pos = 0;
   size_t part_begin = 0;
   int64_t acc = 0;
@@ -81,8 +81,10 @@ SubtreeCut ComputeSubtreeCut(const SpanningTree& tree, int target_parts) {
     open = false;
     acc = 0;
   };
+  cut.fold.assign(tree.parent.size(), 0);
   for (const Item& item : seq) {
     if (item.fold) {
+      cut.fold[static_cast<size_t>(item.vertex)] = 1;
       close_part();
       SubtreeCut::Step step;
       step.vertex = item.vertex;

@@ -80,8 +80,10 @@ void GkSummary::Merge(const GkSummary& other) {
   // uncertainty of the neighbourhood it lands in within the other summary
   // (the standard mergeability argument: the other summary cannot say
   // where, between two of its tuples, the merged tuple's rank falls).
-  std::vector<Tuple> merged;
-  merged.reserve(tuples_.size() + other.tuples_.size());
+  // Built in merge_scratch_ and swapped in, so both buffers keep their
+  // capacity across merges.
+  std::vector<Tuple>& merged = merge_scratch_;
+  merged.clear();
   size_t i = 0, j = 0;
   const std::vector<Tuple>& a = tuples_;
   const std::vector<Tuple>& b = other.tuples_;
@@ -104,7 +106,8 @@ void GkSummary::Merge(const GkSummary& other) {
     }
     merged.push_back(t);
   }
-  tuples_ = std::move(merged);
+  tuples_.swap(merged);
+  merged.clear();  // a copied summary then copies no stale tuples
   total_ += other.total_;
   Compress();
   AuditSummary(tuples_, total_, Threshold());
@@ -113,23 +116,23 @@ void GkSummary::Merge(const GkSummary& other) {
 void GkSummary::Compress() {
   if (tuples_.size() <= 2) return;
   const int64_t threshold = Threshold();
-  std::vector<Tuple> kept;
-  kept.reserve(tuples_.size());
-  kept.push_back(tuples_.front());
   // Greedy right-to-left merge is classic; an equivalent left-to-right
   // greedy: fold tuple i into its successor when the combined band fits.
+  // Kept tuples compact in place: the write index `kept` never passes the
+  // read index i, so no write lands on a tuple still to be read.
+  size_t kept = 1;  // the front always stays
   for (size_t i = 1; i + 1 < tuples_.size(); ++i) {
     const Tuple& cur = tuples_[i];
-    const Tuple& next = tuples_[i + 1];
+    Tuple& next = tuples_[i + 1];
     if (cur.g + next.g + next.delta < threshold) {
       // Merge cur into next: successor's g absorbs ours.
-      tuples_[i + 1].g += cur.g;
+      next.g += cur.g;
     } else {
-      kept.push_back(cur);
+      tuples_[kept++] = cur;
     }
   }
-  kept.push_back(tuples_.back());
-  tuples_ = std::move(kept);
+  tuples_[kept++] = tuples_.back();
+  tuples_.resize(kept);
 }
 
 int64_t GkSummary::QueryQuantile(int64_t k) const {

@@ -32,6 +32,12 @@ class GkSummary {
   /// Inserts one observation.
   void Add(int64_t value);
 
+  /// Empties the summary, keeping its buffers' capacity.
+  void Clear() {
+    total_ = 0;
+    tuples_.clear();
+  }
+
   /// Merges another summary built with the same epsilon. The result is an
   /// epsilon-approximate summary of the union (mergeability lemma).
   void Merge(const GkSummary& other);
@@ -58,6 +64,8 @@ class GkSummary {
   double epsilon_;
   int64_t total_ = 0;
   std::vector<Tuple> tuples_;  // sorted by value
+  /// Merge's output buffer, swapped with tuples_; empty between calls.
+  std::vector<Tuple> merge_scratch_;
 };
 
 }  // namespace wsnq

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config.h"
+#include "core/scenario.h"
 #include "fault/arq.h"
 #include "fault/fault_cli.h"
 #include "fault/fault_key.h"
@@ -442,6 +444,37 @@ TEST(TreeRepairTest, EveryPolicyYieldsAValidTreeUnderChurn) {
   }
 }
 
+TEST(TreeRepairTest, RecoveredChurnRunHoldsItsConfiguredTree) {
+  // Repair must rebuild with the run's own policy and tree salt: once every
+  // crashed node is back, the network holds exactly the tree the run
+  // started with, not a nearest-parent tree.
+  for (ParentSelection selection :
+       {ParentSelection::kNearest, ParentSelection::kDegreeBalanced,
+        ParentSelection::kRandom}) {
+    SCOPED_TRACE(static_cast<int>(selection));
+    SimulationConfig config;
+    config.num_sensors = 200;
+    config.tree_strategy = selection;
+    config.fault.crash_nodes = 12;
+    config.fault.crash_round = 2;
+    config.fault.crash_len = 3;
+    const int run = 1;
+    StatusOr<Scenario> scenario = BuildScenario(config, run);
+    ASSERT_TRUE(scenario.ok());
+    Network& net = *scenario.value().network;
+    const StatusOr<SpanningTree> configured =
+        BuildRoutingTree(net.graph(), net.root(), selection,
+                         RoutingTreeSalt(config, run));
+    ASSERT_TRUE(configured.ok());
+    for (int round = 0; round <= 5; ++round) net.BeginRound();
+    EXPECT_EQ(net.tree_epoch(), 2);  // repaired at the crash and recovery
+    EXPECT_EQ(net.tree().parent, configured.value().parent);
+    EXPECT_EQ(net.tree().children, configured.value().children);
+    EXPECT_EQ(net.tree().pre_order, configured.value().pre_order);
+    EXPECT_EQ(net.tree().post_order, configured.value().post_order);
+  }
+}
+
 // --- fault_plan.h (policy-level glue) -------------------------------------
 
 TEST(FaultPlanTest, UplinkAdvancesTheSharedClock) {
@@ -449,7 +482,7 @@ TEST(FaultPlanTest, UplinkAdvancesTheSharedClock) {
   config.loss = 0.3;
   config.arq.enabled = true;
   FaultPlan plan(config, /*seed=*/3, /*run=*/0, /*num_vertices=*/4,
-                 /*root=*/0);
+                 /*root=*/0, ParentSelection::kNearest, /*tree_salt=*/0);
   EXPECT_FALSE(plan.reliable());
   const int64_t before = plan.clock();
   const TransportPolicy::UplinkOutcome o = plan.Uplink(2, 1);
@@ -464,7 +497,8 @@ TEST(FaultPlanTest, CrashWindowTogglesIsDown) {
   config.crash_round = 1;
   config.crash_len = 2;
   config.repair = false;
-  FaultPlan plan(config, 5, 0, /*num_vertices=*/8, /*root=*/0);
+  FaultPlan plan(config, 5, 0, /*num_vertices=*/8, /*root=*/0,
+                 ParentSelection::kNearest, /*tree_salt=*/0);
   Network net = MakeLineNetwork(8, 0);
   std::vector<int> down_at_round;
   for (int64_t round = 0; round < 5; ++round) {
@@ -703,7 +737,8 @@ TEST(FaultPlanTest, RepairBumpsTheTreeEpochAndResetRestoresIt) {
   config.crash_round = 1;
   config.crash_len = 1;
   net.set_transport_policy(std::make_unique<FaultPlan>(
-      config, /*seed=*/2, /*run=*/0, net.num_vertices(), net.root()));
+      config, /*seed=*/2, /*run=*/0, net.num_vertices(), net.root(),
+      ParentSelection::kNearest, /*tree_salt=*/0));
   EXPECT_EQ(net.tree_epoch(), 0);
   net.BeginRound();  // round 0: everyone up
   EXPECT_EQ(net.tree_epoch(), 0);

@@ -123,10 +123,10 @@ std::string CaptureTrace(const SimulationConfig& config) {
 }
 
 TEST(GoldenTraceTest, SubtreeParallelNeverChangesTrace) {
-  // The in-run subtree engine (net/wave.h) records per-part sends and
-  // replays them serially in post order, so every trace byte — network
-  // events included — must match the classic wave loop exactly, for any
-  // thread count and partition choice.
+  // The in-run subtree engine (net/wave.h) accounts each part in parallel
+  // but emits every network event from the serial fold, in post order
+  // (pre order for floods), so every trace byte must match the classic
+  // loops exactly, for any thread count and partition choice.
   const std::string serial = CaptureTrace(GoldenConfig());
   ASSERT_FALSE(serial.empty());
   for (int threads : {1, 2, 8}) {

@@ -27,7 +27,8 @@ void InstallLoss(Network* net, double loss, uint64_t seed) {
   FaultConfig fault;
   fault.loss = loss;
   net->set_transport_policy(std::make_unique<FaultPlan>(
-      fault, seed, /*run=*/0, net->num_vertices(), net->root()));
+      fault, seed, /*run=*/0, net->num_vertices(), net->root(),
+      ParentSelection::kNearest, /*tree_salt=*/0));
 }
 
 TEST(RankErrorTest, Definition) {

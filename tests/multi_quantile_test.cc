@@ -196,7 +196,8 @@ void AppendAccounting(const AccountingCase& c, std::string* out) {
   Network net = MakeRandomNetwork(kSensors, 91);
   if (c.fault.enabled()) {
     net.set_transport_policy(std::make_unique<FaultPlan>(
-        c.fault, c.fault_seed, /*run=*/0, net.num_vertices(), net.root()));
+        c.fault, c.fault_seed, /*run=*/0, net.num_vertices(), net.root(),
+        ParentSelection::kNearest, /*tree_salt=*/0));
   }
   WaveExecutor executor(/*threads=*/2, /*target_parts=*/6);
   if (c.executor) net.set_wave_executor(&executor);

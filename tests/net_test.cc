@@ -394,7 +394,7 @@ std::unique_ptr<FloodRig> MakeFloodRig(FloodSetup setup) {
     config.repair = false;  // keep the crashed vertices in the tree
     rig->net.set_transport_policy(std::make_unique<FaultPlan>(
         config, /*seed=*/3, /*run=*/0, rig->net.num_vertices(),
-        rig->net.root()));
+        rig->net.root(), ParentSelection::kNearest, /*tree_salt=*/0));
   }
   if (setup == FloodSetup::kObserver) {
     rig->net.set_send_observer(&rig->observer);

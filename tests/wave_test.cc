@@ -1,10 +1,12 @@
 // Unit tests of the in-run subtree-parallel convergecast engine
 // (net/wave.h / net/wave.cc): the balanced cut must tile the routing
-// tree's post order exactly, and RunConvergecastWave must produce
-// bit-identical network accounting for every partition and thread count —
-// the slot+ordered-fold contract the differential suites pin end to end.
+// tree's post order exactly, and RunConvergecastWave and FloodFromRoot
+// must produce bit-identical network accounting, trace events and observer
+// callbacks for every partition and thread count — the slot+ordered-fold
+// contract the differential suites pin end to end.
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "net/radio_graph.h"
 #include "net/wave.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace wsnq {
 namespace {
@@ -110,7 +113,8 @@ TEST(SubtreeCutTest, PartsAreSelfContainedSubtreeRuns) {
 
 // Subtree-size Ops: every vertex reports its subtree size as payload, so
 // both the send set and every payload depend on the whole fold being
-// correct. Slots are disjoint per vertex, as the engine requires.
+// correct; the value tally varies per vertex too. Slots are disjoint per
+// vertex, as the engine requires.
 struct SubtreeSizeOps {
   const SpanningTree* tree;
   int root;
@@ -124,15 +128,33 @@ struct SubtreeSizeOps {
     size[static_cast<size_t>(v)] = total;
     WaveSend send;
     if (v != root) send.payload_bits = total * 16;
+    send.value_count = v % 3;
     return send;
   }
   void OnLost(int /*v*/) {}
 };
 
+// Bit-exact, not approximately equal: every vertex must see the identical
+// debit sequence, since floating-point sums depend on their order.
+void ExpectSameAccounting(const Network& net, const Network& serial,
+                          int threads, int parts) {
+  EXPECT_EQ(net.round_packets(), serial.round_packets());
+  EXPECT_EQ(net.total_packets(), serial.total_packets());
+  EXPECT_EQ(net.round_values(), serial.round_values());
+  EXPECT_EQ(net.total_values(), serial.total_values());
+  for (int v = 0; v < net.num_vertices(); ++v) {
+    EXPECT_EQ(net.round_energy(v), serial.round_energy(v))
+        << "threads=" << threads << " parts=" << parts << " v=" << v;
+    EXPECT_EQ(net.total_energy(v), serial.total_energy(v))
+        << "threads=" << threads << " parts=" << parts << " v=" << v;
+  }
+}
+
 TEST(WaveExecutorTest, PartitionedWaveMatchesSerialBitForBit) {
   Network serial_net = MakeNetwork(131, 5, /*root=*/3);
   SubtreeSizeOps serial_ops{&serial_net.tree(), serial_net.root(),
                             std::vector<int64_t>(131, 0)};
+  RunConvergecastWave(&serial_net, serial_ops);
   RunConvergecastWave(&serial_net, serial_ops);
 
   for (const int threads : {1, 2, 8}) {
@@ -142,15 +164,103 @@ TEST(WaveExecutorTest, PartitionedWaveMatchesSerialBitForBit) {
       net.set_wave_executor(&executor);
       SubtreeSizeOps ops{&net.tree(), net.root(),
                          std::vector<int64_t>(131, 0)};
+      // Two waves: the second adds onto non-zero energies, where the
+      // order of a vertex's debits shows in the rounding.
+      RunConvergecastWave(&net, ops);
       RunConvergecastWave(&net, ops);
       EXPECT_EQ(ops.size, serial_ops.size);
-      EXPECT_EQ(net.total_packets(), serial_net.total_packets());
-      for (int v = 0; v < net.num_vertices(); ++v) {
-        // Bit-exact, not approximately equal: the replay must issue the
-        // identical Debit sequence per vertex.
-        EXPECT_EQ(net.total_energy(v), serial_net.total_energy(v))
-            << "threads=" << threads << " parts=" << parts << " v=" << v;
-      }
+      ExpectSameAccounting(net, serial_net, threads, parts);
+    }
+  }
+}
+
+// Floods of five irregular payload sizes (one to five fragments): every
+// vertex sums receive and send debits of many magnitudes, enough for a
+// swapped pair of debits to show in the rounding.
+void RunFloods(Network* net) {
+  for (const int64_t bits : {37, 1531, 4877, 211, 999}) {
+    net->FloodFromRoot(bits);
+  }
+}
+
+TEST(WaveExecutorTest, FloodOverCutMatchesSerialBitForBit) {
+  Network serial_net = MakeNetwork(131, 5, /*root=*/3);
+  RunFloods(&serial_net);
+
+  for (const int threads : {1, 2, 8}) {
+    for (const int parts : {1, 2, 7, 32}) {
+      Network net = MakeNetwork(131, 5, /*root=*/3);
+      WaveExecutor executor(threads, parts);
+      net.set_wave_executor(&executor);
+      RunFloods(&net);
+      EXPECT_EQ(net.total_floods(), serial_net.total_floods());
+      ExpectSameAccounting(net, serial_net, threads, parts);
+    }
+  }
+}
+
+/// Records every callback as one comparable line.
+class RecordingObserver : public SendObserver {
+ public:
+  void OnSend(const SendInfo& info) override {
+    calls.push_back(std::to_string(static_cast<int>(info.kind)) + " " +
+                    std::to_string(info.sender) + " " +
+                    std::to_string(info.payload_bits) + " " +
+                    std::to_string(info.wire_bits) + " " +
+                    std::to_string(info.packets) + " " +
+                    std::to_string(info.delivered ? 1 : 0));
+  }
+  std::vector<std::string> calls;
+};
+
+std::vector<std::string> EventLines(const trace::TraceBuffer& buffer) {
+  std::vector<std::string> lines;
+  for (const trace::Event& e : buffer.events()) {
+    std::string line = std::to_string(static_cast<int>(e.kind)) + " " +
+                       e.phase + " " + e.name + " " +
+                       std::to_string(e.node) + " " + std::to_string(e.tick);
+    for (int a = 0; a < e.num_args; ++a) {
+      line += std::string(" ") + e.args[a].key + "=" +
+              std::to_string(e.args[a].value);
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+// One wave and one flood under a trace buffer and an observer; returns the
+// trace event lines followed by the observer's callback lines.
+std::vector<std::string> ReportedSequence(Network* net) {
+  trace::TraceBuffer buffer(/*run=*/0);
+  RecordingObserver observer;
+  {
+    trace::RunScope scope(&buffer);
+    net->set_send_observer(&observer);
+    SubtreeSizeOps ops{&net->tree(), net->root(),
+                       std::vector<int64_t>(
+                           static_cast<size_t>(net->num_vertices()), 0)};
+    RunConvergecastWave(net, ops);
+    net->FloodFromRoot(1500);
+    net->set_send_observer(nullptr);
+  }
+  std::vector<std::string> lines = EventLines(buffer);
+  lines.insert(lines.end(), observer.calls.begin(), observer.calls.end());
+  return lines;
+}
+
+TEST(WaveExecutorTest, ReportingMatchesSerialEventAndCallbackSequence) {
+  Network serial_net = MakeNetwork(131, 5, /*root=*/3);
+  const std::vector<std::string> serial = ReportedSequence(&serial_net);
+  ASSERT_FALSE(serial.empty());
+
+  for (const int threads : {1, 2, 8}) {
+    for (const int parts : {1, 2, 7, 32}) {
+      Network net = MakeNetwork(131, 5, /*root=*/3);
+      WaveExecutor executor(threads, parts);
+      net.set_wave_executor(&executor);
+      EXPECT_EQ(ReportedSequence(&net), serial)
+          << "threads=" << threads << " parts=" << parts;
+      ExpectSameAccounting(net, serial_net, threads, parts);
     }
   }
 }
