@@ -119,7 +119,6 @@ QdigestProtocol::QdigestProtocol(int64_t k, int64_t range_min,
                                  const Options& options)
     : k_(k),
       range_min_(range_min),
-      range_max_(range_max),
       height_(UniverseHeight(range_min, range_max)),
       wire_(wire),
       options_(options) {
@@ -176,14 +175,11 @@ void GkProtocol::RunRound(Network* net,
   counts_.g = net->num_sensors() - k_;
 }
 
-SamplingProtocol::SamplingProtocol(int64_t k, int64_t range_min,
-                                   int64_t range_max, const WireFormat& wire,
+SamplingProtocol::SamplingProtocol(int64_t k, int64_t /*range_min*/,
+                                   int64_t /*range_max*/,
+                                   const WireFormat& wire,
                                    const Options& options)
-    : k_(k),
-      range_min_(range_min),
-      range_max_(range_max),
-      wire_(wire),
-      options_(options) {
+    : k_(k), wire_(wire), options_(options) {
   WSNQ_CHECK_GE(k, 1);
   WSNQ_CHECK_GT(options.probability, 0.0);
   WSNQ_CHECK_LE(options.probability, 1.0);

@@ -49,7 +49,6 @@ class QdigestProtocol : public QuantileProtocol {
  private:
   int64_t k_;
   int64_t range_min_;
-  int64_t range_max_;
   int height_;
   WireFormat wire_;
   Options options_;
@@ -109,8 +108,6 @@ class SamplingProtocol : public QuantileProtocol {
 
  private:
   int64_t k_;
-  int64_t range_min_;
-  int64_t range_max_;
   WireFormat wire_;
   Options options_;
   int64_t quantile_ = 0;

@@ -12,8 +12,7 @@ SwitchingProtocol::SwitchingProtocol(int64_t k, int64_t range_min,
                                      int64_t range_max,
                                      const WireFormat& wire,
                                      const Options& options)
-    : k_(k),
-      range_min_(range_min),
+    : range_min_(range_min),
       range_max_(range_max),
       wire_(wire),
       options_(options) {

@@ -69,7 +69,6 @@ class SwitchingProtocol : public QuantileProtocol {
  private:
   void MaybeSwitch(Network* net);
 
-  int64_t k_;
   int64_t range_min_;
   int64_t range_max_;
   WireFormat wire_;

@@ -67,9 +67,8 @@ Status ExecuteRun(const SimulationConfig& config,
   // executor it borrows (it is installed below, not owned).
   std::optional<WaveExecutor> wave_executor;
   StatusOr<Scenario> scenario = [&] {
-    // The cache is prepared, so this is assembly only (all artifact
-    // lookups hit); the construction cost shows up under
-    // experiment/prepare_cache instead.
+    // Builds the artifacts no earlier run (or sweep point) has built, and
+    // waits for any that another run is building; the rest is assembly.
     prof::ScopedTimer timer("experiment/build_scenario");
     return BuildScenario(config, run, cache);
   }();
@@ -103,8 +102,8 @@ Status ExecuteRun(const SimulationConfig& config,
   return Status::Ok();
 }
 
-/// RunExperiment body: prepares `cache` for this point and runs it, so
-/// RunSweep can share one cache across sweep points.
+/// RunExperiment body: runs this point through `cache`, so RunSweep can
+/// share one cache across sweep points.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs,
@@ -137,22 +136,14 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   // output bit, so this only reshapes where the wall-clock goes.
   const int wave_threads = std::max(1, resolved / std::max(1, threads));
   ThreadPool pool(threads);
-  {
-    // The cache builds this point's artifacts on the same pool, then seals;
-    // after this every lookup is read-only. A failure is exactly the Status
-    // the storeless BuildScenario(config, run) reports for the first
-    // failing run.
-    prof::ScopedTimer timer("experiment/prepare_cache");
-    Status prepared = cache->Prepare(config, runs, &pool);
-    if (!prepared.ok()) return prepared;
-  }
   // Independent runs fan out over the deterministic pool (each run
   // re-derives its seeds from (config.seed, run), so no state is shared
-  // between tasks — the cached artifacts they alias are sealed and const);
-  // results land in index-addressed slots and are folded on this thread in
-  // run order, hence bit-identical aggregates for any thread count. A
-  // size-1 pool runs the tasks inline in index order. On failure
-  // ParallelFor reports the smallest failing run index.
+  // between tasks — the cached artifacts they alias are built once per key
+  // and const); results land in index-addressed slots and are folded on
+  // this thread in run order, hence bit-identical aggregates for any thread
+  // count. A size-1 pool runs the tasks inline in index order. On failure
+  // ParallelFor reports the smallest failing run index, whose Status is the
+  // one the storeless BuildScenario(config, run) reports for that run.
   std::vector<std::vector<SimulationResult>> results(
       static_cast<size_t>(runs),
       std::vector<SimulationResult>(factories.size()));

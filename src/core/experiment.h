@@ -61,10 +61,9 @@ ProtocolFactory DefaultFactory(AlgorithmKind kind);
 /// to the serial path for every thread count (tests/
 /// parallel_determinism_test.cc holds this to exact equality).
 ///
-/// The immutable scenario artifacts (radio graphs, value sources, tree
-/// templates) are built once by a ScenarioCache pre-population pass on the
-/// same pool — run 0 first on the calling thread, the other runs in
-/// parallel, merged in run-index order — and shared read-only across runs
+/// Each run task builds its own scenario through a ScenarioCache, which
+/// builds every immutable artifact (radio graphs, value sources, tree
+/// templates) once, on first use, and shares it read-only across runs
 /// (core/scenario_cache.h); results are bit-identical to building each
 /// run's scenario from scratch.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
@@ -88,9 +87,10 @@ struct SweepPointResult {
   std::vector<AlgorithmAggregate> aggregates;
 };
 
-/// Batched sweep: runs every point like RunExperiment would, but shares a
-/// single ScenarioCache across all points, so immutable artifacts are
-/// reused wherever the topology-determining config slice is invariant
+/// Batched sweep: runs every point like RunExperiment would, but its runs
+/// build through a single ScenarioCache kept across all points (evicted,
+/// between points, of what no point ahead can hit), so immutable artifacts
+/// are reused wherever the topology-determining config slice is invariant
 /// (fig7 varies only the period and fig8 only the noise — every point
 /// reuses the first point's deployments; fig10 rebuilds the trace per skip
 /// value but shares it across that point's runs). Results are identical to

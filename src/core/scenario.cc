@@ -77,25 +77,51 @@ const std::vector<int64_t>& Scenario::ValuesView(int64_t round) const {
 
 namespace {
 
-/// Cached artifact under `key`, or nullptr when there is no store / the
-/// store misses. The caller then builds the artifact itself and offers it
-/// back with Put — both paths execute the identical construction code, so
-/// cached and uncached scenarios are bit-identical by construction.
+/// A shareable artifact, or the Status of its failed build.
 template <typename T>
-std::shared_ptr<const T> Lookup(internal::ArtifactStore* store,
-                                const std::string& key) {
-  if (store == nullptr) return nullptr;
-  return std::static_pointer_cast<const T>(store->Get(key));
+using Artifact = StatusOr<std::shared_ptr<const T>>;
+
+/// The artifact under `key` from `store`, which calls `build` on the key's
+/// first use; without a store, `build`'s own result. Both paths execute the
+/// identical construction code, so cached and uncached scenarios are
+/// bit-identical by construction.
+template <typename T, typename Build>
+Artifact<T> GetOrBuild(internal::ArtifactStore* store, const std::string& key,
+                       const Build& build) {
+  if (store == nullptr) return build();
+  StatusOr<std::shared_ptr<const void>> artifact = store->GetOrBuild(
+      key, [&]() -> StatusOr<std::shared_ptr<const void>> {
+        Artifact<T> built = build();
+        if (!built.ok()) return built.status();
+        return std::shared_ptr<const void>(std::move(built).value());
+      });
+  if (!artifact.ok()) return artifact.status();
+  return std::static_pointer_cast<const T>(std::move(artifact).value());
+}
+
+/// Run `run`'s routing-tree template rooted at `root` over the deployment
+/// `graph`, shared under a key that extends `deploy_key`.
+Artifact<SpanningTree> RoutingTemplate(internal::ArtifactStore* store,
+                                       const std::string& deploy_key,
+                                       const RadioGraph& graph, int root,
+                                       const SimulationConfig& config,
+                                       int run) {
+  const uint64_t salt = RoutingTreeSalt(config, run);
+  const std::string key =
+      internal::RoutingTreeKey(deploy_key, root, config.tree_strategy, salt);
+  return GetOrBuild<SpanningTree>(store, key, [&]() -> Artifact<SpanningTree> {
+    StatusOr<SpanningTree> routing =
+        BuildRoutingTree(graph, root, config.tree_strategy, salt);
+    if (!routing.ok()) return routing.status();
+    return std::make_shared<const SpanningTree>(std::move(routing).value());
+  });
 }
 
 StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
                                   internal::ArtifactStore* store) {
   // Deployment (placement + expanded root + radio graph): one Rng stream
   // draws the placement and then the root, so they form one cache unit.
-  const std::string deploy_key = internal::SyntheticDeploymentKey(config, run);
-  std::shared_ptr<const internal::SyntheticDeployment> deploy =
-      Lookup<internal::SyntheticDeployment>(store, deploy_key);
-  if (deploy == nullptr) {
+  const auto build_deploy = [&]() -> Artifact<internal::SyntheticDeployment> {
     Rng rng(config.seed * 7919 + static_cast<uint64_t>(run) * 104729 + 13);
     // |N| sensors plus the root vertex.
     StatusOr<std::vector<Point2D>> placement = ConnectedPlacement(
@@ -136,42 +162,39 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
     built->graph =
         std::make_shared<const RadioGraph>(std::move(points),
                                            config.radio_range);
-    if (store != nullptr) store->Put(deploy_key, built);
-    deploy = std::move(built);
-  }
+    return std::shared_ptr<const internal::SyntheticDeployment>(
+        std::move(built));
+  };
+  const std::string deploy_key = internal::SyntheticDeploymentKey(config, run);
+  Artifact<internal::SyntheticDeployment> deployed =
+      GetOrBuild<internal::SyntheticDeployment>(store, deploy_key,
+                                                build_deploy);
+  if (!deployed.ok()) return deployed.status();
+  const std::shared_ptr<const internal::SyntheticDeployment> deploy =
+      std::move(deployed).value();
 
-  const uint64_t tree_salt = RoutingTreeSalt(config, run);
-  const std::string tree_key = internal::RoutingTreeKey(
-      deploy_key, deploy->root, config.tree_strategy, tree_salt);
-  std::shared_ptr<const SpanningTree> tree =
-      Lookup<SpanningTree>(store, tree_key);
-  if (tree == nullptr) {
-    StatusOr<SpanningTree> routing = BuildRoutingTree(
-        *deploy->graph, deploy->root, config.tree_strategy, tree_salt);
-    if (!routing.ok()) return routing.status();
-    auto built =
-        std::make_shared<const SpanningTree>(std::move(routing).value());
-    if (store != nullptr) store->Put(tree_key, built);
-    tree = std::move(built);
-  }
+  Artifact<SpanningTree> tree = RoutingTemplate(
+      store, deploy_key, *deploy->graph, deploy->root, config, run);
+  if (!tree.ok()) return tree.status();
 
-  const std::string source_key = internal::SyntheticSourceKey(config, run);
-  std::shared_ptr<const SyntheticTrace> trace =
-      Lookup<SyntheticTrace>(store, source_key);
-  if (trace == nullptr) {
+  const auto build_trace = [&]() -> Artifact<SyntheticTrace> {
     SyntheticTrace::Options options = config.synthetic;
     options.seed = config.seed * 31 + static_cast<uint64_t>(run) + 1;
-    auto built =
-        std::make_shared<const SyntheticTrace>(deploy->normalized, options);
-    if (store != nullptr) store->Put(source_key, built);
-    trace = std::move(built);
-  }
+    return std::make_shared<const SyntheticTrace>(deploy->normalized, options);
+  };
+  // The trace build cannot fail.
+  const std::shared_ptr<const SyntheticTrace> trace =
+      GetOrBuild<SyntheticTrace>(store,
+                                 internal::SyntheticSourceKey(config, run),
+                                 build_trace)
+          .value();
 
   // Per-run assembly: the Network gets its own copy of the tree template
   // (fault repair mutates it) while aliasing the immutable radio graph.
   Scenario scenario;
   scenario.network = std::make_unique<Network>(
-      deploy->graph, SpanningTree(*tree), config.energy, config.packetizer);
+      deploy->graph, SpanningTree(*tree.value()), config.energy,
+      config.packetizer);
   const int num_vertices = scenario.network->num_vertices();
   scenario.sensor_of_vertex.assign(static_cast<size_t>(num_vertices), -1);
   int next_sensor = 0;
@@ -192,10 +215,7 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
                                  internal::ArtifactStore* store) {
   // The trace (and its affine rescaling, which views it) is fixed across
   // runs (§5.1) — one cache unit, built once per seed, not per run.
-  const std::string workload_key = internal::PressureWorkloadKey(config);
-  std::shared_ptr<const internal::PressureWorkload> workload =
-      Lookup<internal::PressureWorkload>(store, workload_key);
-  if (workload == nullptr) {
+  const auto build_workload = [&]() -> Artifact<internal::PressureWorkload> {
     PressureTrace::Options options = config.pressure;
     options.seed = config.seed;  // the trace is fixed across runs (§5.1)
     // Size the sample grid to this simulation, not the standalone default:
@@ -215,16 +235,18 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
     built->trace = std::make_shared<const PressureTrace>(options);
     built->scaled = std::make_shared<const ScaledValueSource>(
         built->trace.get(), config.pressure_scale_bits);
-    if (store != nullptr) store->Put(workload_key, built);
-    workload = std::move(built);
-  }
+    return std::shared_ptr<const internal::PressureWorkload>(
+        std::move(built));
+  };
+  // The workload build cannot fail.
+  const std::shared_ptr<const internal::PressureWorkload> workload =
+      GetOrBuild<internal::PressureWorkload>(
+          store, internal::PressureWorkloadKey(config), build_workload)
+          .value();
 
   // SOM placement from the first measurements (§5.1.3) — also fixed across
   // runs, so the radio graph is one shared artifact.
-  const std::string deploy_key = internal::PressureDeploymentKey(config);
-  std::shared_ptr<const RadioGraph> graph =
-      Lookup<RadioGraph>(store, deploy_key);
-  if (graph == nullptr) {
+  const auto build_graph = [&]() -> Artifact<RadioGraph> {
     const std::vector<double> features =
         workload->trace->FirstMeasurements();
     SelfOrganizingMap::Options som_options;
@@ -238,34 +260,26 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
       return Status::FailedPrecondition(
           "SOM station placement is disconnected at this radio range");
     }
-    if (store != nullptr) store->Put(deploy_key, built);
-    graph = std::move(built);
-  }
+    return built;
+  };
+  const std::string deploy_key = internal::PressureDeploymentKey(config);
+  Artifact<RadioGraph> placed =
+      GetOrBuild<RadioGraph>(store, deploy_key, build_graph);
+  if (!placed.ok()) return placed.status();
+  const std::shared_ptr<const RadioGraph> graph = std::move(placed).value();
 
   // Only the root changes between runs.
   Rng rng(config.seed * 524287 + static_cast<uint64_t>(run) * 8191 + 3);
   const int root = static_cast<int>(
       rng.UniformInt(0, static_cast<int64_t>(graph->size()) - 1));
 
-  const uint64_t tree_salt = RoutingTreeSalt(config, run);
-  const std::string tree_key =
-      internal::RoutingTreeKey(deploy_key, root, config.tree_strategy,
-                               tree_salt);
-  std::shared_ptr<const SpanningTree> tree =
-      Lookup<SpanningTree>(store, tree_key);
-  if (tree == nullptr) {
-    StatusOr<SpanningTree> routing =
-        BuildRoutingTree(*graph, root, config.tree_strategy, tree_salt);
-    if (!routing.ok()) return routing.status();
-    auto built =
-        std::make_shared<const SpanningTree>(std::move(routing).value());
-    if (store != nullptr) store->Put(tree_key, built);
-    tree = std::move(built);
-  }
+  Artifact<SpanningTree> tree =
+      RoutingTemplate(store, deploy_key, *graph, root, config, run);
+  if (!tree.ok()) return tree.status();
 
   Scenario scenario;
   scenario.network = std::make_unique<Network>(
-      graph, SpanningTree(*tree), config.energy, config.packetizer);
+      graph, SpanningTree(*tree.value()), config.energy, config.packetizer);
   const int num_vertices = scenario.network->num_vertices();
   scenario.sensor_of_vertex.assign(static_cast<size_t>(num_vertices), -1);
   for (int v = 0; v < num_vertices; ++v) {

@@ -22,6 +22,7 @@
 #define WSNQ_CORE_SCENARIO_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,22 +38,22 @@ namespace internal {
 
 /// Seam between BuildScenario and the ScenarioCache: a string-keyed store
 /// of type-erased immutable artifacts (see core/scenario_cache.h for the
-/// key grammar). BuildScenario consults it before building each shareable
-/// artifact and offers the freshly built artifact back; a null store (the
-/// legacy path) simply builds everything. Both paths run the identical
-/// construction code, so cached and uncached scenarios are bit-identical
-/// by construction.
+/// key grammar). BuildScenario hands it each shareable artifact's key and
+/// builder; a null store (the uncached reference path) simply calls the
+/// builder. Both paths run the identical construction code, so cached and
+/// uncached scenarios are bit-identical by construction.
 class ArtifactStore {
  public:
+  /// Builds one artifact, or returns why it cannot be built.
+  using Builder = std::function<StatusOr<std::shared_ptr<const void>>()>;
+
   virtual ~ArtifactStore() = default;
 
-  /// The artifact stored under `key`, or nullptr on a miss.
-  virtual std::shared_ptr<const void> Get(const std::string& key) const = 0;
-
-  /// Offers a freshly built artifact. Implementations may drop it (e.g. a
-  /// sealed cache during the read-only parallel phase).
-  virtual void Put(const std::string& key,
-                   std::shared_ptr<const void> value) = 0;
+  /// The artifact under `key`, calling `build` when no caller has built it
+  /// yet. A failed build's Status is the key's result too. `build` must not
+  /// look up `key` itself.
+  virtual StatusOr<std::shared_ptr<const void>> GetOrBuild(
+      const std::string& key, const Builder& build) = 0;
 };
 
 }  // namespace internal

@@ -22,14 +22,14 @@
 //   <deploy>|tree|root|strat|salt              routing-tree template
 //
 // Concurrency contract (docs/hardening.md, "Concurrency & determinism"):
-// the cache is populated by a deterministic Prepare() pass, then *sealed*.
-// Prepare builds run 0 on the calling thread and, given a ThreadPool, the
-// other runs on the pool, each into its own staging store that only reads
-// the map; the calling thread then merges the stages in run-index order,
-// so only it ever writes the map. After sealing, Get() is const and
-// thread-safe; Put() drops the offered artifact (the caller keeps its
-// freshly built copy), so the read-only parallel phase can never mutate
-// the map. Everything stored is shared_ptr<const T> — runs alias the
+// every artifact is a pure function of its key, so the cache builds each
+// key once, on first use, from whichever thread asks first. One mutex
+// guards the key -> entry table; the first caller of a key marks it in
+// flight, builds outside the lock and stores the artifact (or the failing
+// Status), and later callers of that key wait for it or read it. Run tasks
+// therefore build their own scenarios inside the experiment's fan-out, and
+// hits(), misses() and size() come out as a serial pass leaves them at any
+// thread count. Everything stored is shared_ptr<const T> — runs alias the
 // artifacts but cannot write through them; the wsnq-lint `const-cast`
 // rule keeps that guarantee from eroding.
 //
@@ -41,7 +41,6 @@
 #ifndef WSNQ_CORE_SCENARIO_CACHE_H_
 #define WSNQ_CORE_SCENARIO_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -56,13 +55,11 @@
 #include "net/geometry.h"
 #include "net/radio_graph.h"
 #include "net/spanning_tree.h"
+#include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace wsnq {
-
-class ThreadPool;
-
 namespace internal {
 
 // --- Cached artifact types (built and consumed by core/scenario.cc) -------
@@ -101,108 +98,71 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 /// Immutable-artifact cache for scenario construction. Typical lifecycle:
 ///
 ///   ScenarioCache cache;
-///   cache.Prepare(config, runs, &pool);   // deterministic, seals
 ///   ... ThreadPool fans runs out; each task calls cache.Build(config, run)
 ///       and gets aliased shared-immutable artifacts plus its own Network.
 ///
-/// Prepare may be called again (RunSweep does, once per sweep point): the
-/// cache unseals, builds whatever the new point misses, and reseals, so
-/// cache hits span sweep points whose topology slice is invariant. Between
-/// points, Evict frees what no point still ahead can hit.
+/// One cache may serve many experiments (RunSweep keeps one across its
+/// points), so cache hits span sweep points whose topology slice is
+/// invariant. Between points, Evict frees what no point still ahead can
+/// hit.
 class ScenarioCache final : public internal::ArtifactStore {
  public:
   ScenarioCache() = default;
   ScenarioCache(const ScenarioCache&) = delete;
   ScenarioCache& operator=(const ScenarioCache&) = delete;
 
-  /// Builds every shareable artifact of runs [0, runs), then seals the
-  /// cache. Without a pool every run is built in run-index order on the
-  /// calling thread. With one, run 0 is built first on the calling thread
-  /// (it puts the run-invariant artifacts — pressure workload, SOM graph —
-  /// in the map), runs 1 .. runs-1 are built on `pool`, each into its own
-  /// staging store, and the stages are merged in run-index order, first
-  /// build winning. Either way the map, hits() and misses() end up as the
-  /// serial pass leaves them, and the Status is the first failing run's —
-  /// the same Status the storeless BuildScenario(config, run) reports for
-  /// that run. `pool` must not be running a ParallelFor of its own.
-  Status Prepare(const SimulationConfig& config, int runs,
-                 ThreadPool* pool = nullptr);
+  /// Builds runs [0, runs) in run-index order on the calling thread and
+  /// returns the first failing run's Status — the one the storeless
+  /// BuildScenario(config, run) reports for that run. Only the benchmark
+  /// replay and tests still pre-build a point this way; RunExperiment
+  /// builds inside its run tasks. Deleted once that replay calls RunSweep
+  /// itself (ROADMAP.md, "Per-phase wall time from the real run loop").
+  Status Prepare(const SimulationConfig& config, int runs);
 
   /// Frees every artifact that no run [0, runs) of a config in `ahead` can
   /// look up. Each artifact key extends a run's SyntheticDeploymentKey or a
   /// config's PressureTraceKey at a '|' boundary, so a kept key is one
   /// that extends such a root. hits() and misses() do not change, and nor
-  /// do those of later Prepare and Build calls for configs in `ahead`.
-  /// Called on Prepare's thread between experiments, never during one.
+  /// do those of later Build calls for configs in `ahead`. Called between
+  /// experiments, never while a Build is running.
   void Evict(std::span<const SimulationConfig> ahead, int runs);
 
   /// BuildScenario(config, run, this): assembles run `run`'s scenario from
-  /// cached artifacts (plus a fresh per-run Network / fault plan). Safe to
-  /// call concurrently once the cache is sealed.
+  /// cached artifacts (plus a fresh per-run Network / fault plan), building
+  /// the artifacts no caller has built yet. Safe to call concurrently.
   StatusOr<Scenario> Build(const SimulationConfig& config, int run);
 
   // internal::ArtifactStore:
-  std::shared_ptr<const void> Get(const std::string& key) const override;
-  void Put(const std::string& key, std::shared_ptr<const void> value) override;
+  StatusOr<std::shared_ptr<const void>> GetOrBuild(
+      const std::string& key, const Builder& build) override
+      WSNQ_EXCLUDES(mu_);
 
-  bool sealed() const { return sealed_; }
-  int64_t size() const {
-    AssertReadPhase();
-    return static_cast<int64_t>(entries_.size());
-  }
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  /// Artifacts offered after sealing and dropped (miss-path rebuilds).
-  int64_t sealed_drops() const {
-    return sealed_drops_.load(std::memory_order_relaxed);
-  }
+  /// Keys looked up so far, failed builds included.
+  int64_t size() const WSNQ_EXCLUDES(mu_);
+  /// Lookups of a key some earlier lookup already claimed.
+  int64_t hits() const WSNQ_EXCLUDES(mu_);
+  /// First lookups of a key, i.e. builds: one per distinct key.
+  int64_t misses() const WSNQ_EXCLUDES(mu_);
 
  private:
-  /// One run's build during Prepare's pool fan-out (defined in the .cc).
-  class RunStage;
+  /// One key's artifact. `done` turns true once the first caller's build
+  /// has finished; then exactly one of `status` (a failed build) and
+  /// `value` says how. Read and written only under mu_ (the analysis
+  /// cannot see that through the map's references).
+  struct Entry {
+    bool done = false;
+    Status status;
+    std::shared_ptr<const void> value;
+  };
 
-  /// Prepare without the unseal/seal bracket.
-  Status PrepareRuns(const SimulationConfig& config, int runs,
-                     ThreadPool* pool);
-  /// Moves a finished stage's artifacts and lookup counts into the cache.
-  void Merge(const RunStage& stage);
-  /// The artifact under `key`, or nullptr; counts nothing. Stages read the
-  /// map through this while the fan-out runs.
-  std::shared_ptr<const void> Find(const std::string& key) const;
-
-  /// The prepare-then-seal discipline as a phantom capability: mutating the
-  /// artifact map requires the *prepare phase* — Prepare() on its calling
-  /// thread, before the experiment's run fan-out. Pool-time code (Prepare's
-  /// own staged runs included, which write only their stages) cannot name
-  /// (let alone assert) the phase, so under clang's -Wthread-safety a new
-  /// mutation path of `entries_` that does not route through
-  /// AssertPreparePhase() — which dynamically re-checks !sealed_ — is a
-  /// compile error, not a latent race.
-  class WSNQ_CAPABILITY("scenario_cache/prepare") PreparePhase {};
-
-  /// Dynamically checks the unsealed (Prepare) phase, then grants the
-  /// capability to the analysis. Defined in the .cc (needs check.h).
-  void AssertPreparePhase() WSNQ_ASSERT_CAPABILITY(prepare_phase_);
-  /// Reads are phase-agnostic: while preparing, the map is written only by
-  /// the calling thread and only while no staged run is reading it, and it
-  /// is immutable once sealed, so a shared grant is always sound. Purely
-  /// an analysis-level claim — no runtime effect.
-  void AssertReadPhase() const
-      WSNQ_ASSERT_SHARED_CAPABILITY(prepare_phase_) {}
-
-  PreparePhase prepare_phase_;
-  std::unordered_map<std::string, std::shared_ptr<const void>> entries_
-      WSNQ_GUARDED_BY(prepare_phase_);
-  // Written only by Prepare() on its calling thread; read by pool-time
-  // Get/Put after the happens-before edge of the ThreadPool fan-out, so it
-  // stays outside the phase capability (guarding it would be circular:
-  // the asserts themselves read it).
-  bool sealed_ = false;
-  // Stat counters only — mutable atomics so the sealed, logically-const
-  // Get() can count from concurrent run tasks without a data race.
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> sealed_drops_{0};
+  mutable Mutex mu_;
+  /// Wakes the callers waiting for an in-flight entry.
+  CondVar built_;
+  // Node-based: an Entry& stays valid while other keys are inserted, so
+  // the building caller can fill its entry in after the unlocked build.
+  std::unordered_map<std::string, Entry> entries_ WSNQ_GUARDED_BY(mu_);
+  int64_t hits_ WSNQ_GUARDED_BY(mu_) = 0;
+  int64_t misses_ WSNQ_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace wsnq

@@ -13,11 +13,15 @@ int64_t ArqBackoffTicks(const ArqConfig& config, int attempt) {
   return config.base_timeout_ticks << exponent;
 }
 
-ArqOutcome RunStopAndWait(const ArqConfig& config, FrameLossOracle* links,
-                          int src, int dst, bool dst_down, int64_t* clock) {
+TransportPolicy::UplinkOutcome RunStopAndWait(const ArqConfig& config,
+                                              FrameLossOracle* links, int src,
+                                              int dst, bool dst_down,
+                                              int64_t* clock) {
   const int64_t start = *clock;
   const int attempts = config.enabled ? config.max_retx + 1 : 1;
-  ArqOutcome outcome;
+  TransportPolicy::UplinkOutcome outcome{.delivered = false,
+                                         .data_frames = 0,
+                                         .data_frames_received = 0};
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) *clock += ArqBackoffTicks(config, attempt);
     *clock += 1;  // data frame airtime

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "fault/link_models.h"
+#include "net/network.h"
 
 namespace wsnq {
 
@@ -36,23 +37,16 @@ struct ArqConfig {
 /// retries): base_timeout_ticks << min(attempt, backoff_exponent_cap).
 int64_t ArqBackoffTicks(const ArqConfig& config, int attempt);
 
-/// What one stop-and-wait exchange did, for energy/metrics accounting.
-struct ArqOutcome {
-  bool delivered = false;       ///< >= 1 data frame reached the parent
-  int data_frames = 0;          ///< data frames the sender put on the air
-  int data_frames_received = 0; ///< of those, frames the parent heard
-  int ack_frames = 0;           ///< ack frames the parent sent back
-  int ack_frames_received = 0;  ///< of those, acks the sender heard
-  int64_t ticks = 0;            ///< logical airtime including backoff
-};
-
 /// Runs one message exchange src -> dst over `links`, advancing `*clock`
 /// one tick per frame on the air plus the backoff gaps. With ARQ disabled
 /// the exchange is a single unacknowledged frame. `dst_down` models a
 /// crashed parent: every data frame is lost and no ack ever comes, so the
-/// sender burns its full retry budget — the cost tree repair avoids.
-ArqOutcome RunStopAndWait(const ArqConfig& config, FrameLossOracle* links,
-                          int src, int dst, bool dst_down, int64_t* clock);
+/// sender burns its full retry budget — the cost tree repair avoids. The
+/// outcome is the TransportPolicy's, counted from zero frames up.
+TransportPolicy::UplinkOutcome RunStopAndWait(const ArqConfig& config,
+                                              FrameLossOracle* links, int src,
+                                              int dst, bool dst_down,
+                                              int64_t* clock);
 
 }  // namespace wsnq
 

@@ -103,16 +103,9 @@ void FaultPlan::OnRoundStart(int64_t round, Network* net) {
 
 TransportPolicy::UplinkOutcome FaultPlan::Uplink(int src, int dst) {
   WSNQ_DCHECK(!IsDown(src));  // the network gates crashed senders
-  const ArqOutcome arq = RunStopAndWait(config_.arq, frame_oracle_, src, dst,
-                                        IsDown(dst), &clock_);
-  WSNQ_DCHECK_LE(arq.data_frames - 1, config_.arq.max_retx);
-  UplinkOutcome outcome;
-  outcome.delivered = arq.delivered;
-  outcome.data_frames = arq.data_frames;
-  outcome.data_frames_received = arq.data_frames_received;
-  outcome.ack_frames = arq.ack_frames;
-  outcome.ack_frames_received = arq.ack_frames_received;
-  outcome.ticks = arq.ticks;
+  const UplinkOutcome outcome = RunStopAndWait(
+      config_.arq, frame_oracle_, src, dst, IsDown(dst), &clock_);
+  WSNQ_DCHECK_LE(outcome.data_frames - 1, config_.arq.max_retx);
   return outcome;
 }
 

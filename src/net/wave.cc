@@ -14,6 +14,15 @@ constexpr size_t kMaxSplitDepth = 16;
 
 }  // namespace
 
+namespace wave_internal {
+
+WaveLane& SerialLane() {
+  thread_local WaveLane lane;
+  return lane;
+}
+
+}  // namespace wave_internal
+
 SubtreeCut ComputeSubtreeCut(const SpanningTree& tree, int target_parts) {
   SubtreeCut cut;
   const size_t order = tree.post_order.size();

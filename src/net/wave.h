@@ -99,6 +99,10 @@ struct PartLedger {
   int64_t values = 0;
 };
 
+/// The calling thread's lane for serial-loop waves, kept across waves (and
+/// across networks) so its merge scratch grows once per thread.
+WaveLane& SerialLane();
+
 }  // namespace wave_internal
 
 /// What one processed vertex wants to transmit. payload_bits < 0 means no
@@ -111,10 +115,10 @@ struct WaveSend {
 
 /// Runs convergecast waves (and Network::FloodFromRoot) over a cached
 /// SubtreeCut. Owns the pool the parts fan out on, plus the per-part
-/// ledgers and merge lanes, reused across waves. One executor serves one
-/// Network at a time; install it with Network::set_wave_executor. The cut
-/// is recomputed when the network's tree epoch changes (fault-driven
-/// repair / reset).
+/// ledgers and merge lanes and the fold's lane, reused across waves. One
+/// executor serves one Network at a time; install it with
+/// Network::set_wave_executor. The cut is recomputed when the network's
+/// tree epoch changes (fault-driven repair / reset).
 class WaveExecutor {
  public:
   /// Owns a fresh pool of `threads` workers. `target_parts` sizes the cut;
@@ -152,6 +156,8 @@ class WaveExecutor {
     if (lanes_.size() < parts) lanes_.resize(parts);
     return lanes_;
   }
+  /// The lane of the fold vertices, processed on the calling thread.
+  WaveLane& FoldLane() { return fold_lane_; }
 
  private:
   std::unique_ptr<ThreadPool> pool_;
@@ -161,6 +167,7 @@ class WaveExecutor {
   SubtreeCut cut_;
   std::vector<wave_internal::PartLedger> ledgers_;
   std::vector<WaveLane> lanes_;
+  WaveLane fold_lane_;
 };
 
 /// Drives one convergecast wave. Ops is the per-wave protocol logic:
@@ -190,7 +197,7 @@ void RunConvergecastWave(Network* net, Ops&& ops) {
     // Serial loop: --subtree-parallel off, or a TransportPolicy whose send
     // outcomes may depend on per-link state, which rules out accounting a
     // part ahead of the rest of the wave.
-    WaveLane lane;
+    WaveLane& lane = wave_internal::SerialLane();
     for (int v : tree.post_order) process_live(v, lane);
     return;
   }
@@ -238,7 +245,7 @@ void RunConvergecastWave(Network* net, Ops&& ops) {
   // Serial fold in post order: each part's counts and fold-vertex receive
   // debits at its step, the fold vertices live at theirs.
   prof::ScopedTimer timer("net/wave_fold");
-  WaveLane fold_lane;
+  WaveLane& fold_lane = ex->FoldLane();
   for (const SubtreeCut::Step& step : cut.steps) {
     if (step.part < 0) {
       process_live(step.vertex, fold_lane);

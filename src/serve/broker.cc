@@ -22,12 +22,8 @@ StatusOr<QuantileBroker::Stream*> QuantileBroker::GetOrCreateStream(
   if (it != streams_.end()) return it->second.get();
 
   const SimulationConfig config = ResolveField(options_.base, field);
-  // Stream creation is serial (event-loop thread): the cache unseals,
-  // builds whatever this field's config misses — typically only the
-  // synthetic trace, since every field shares the base deployment — and
-  // reseals before any parallel advance can read it.
-  Status prepared = cache_.Prepare(config, 1);
-  if (!prepared.ok()) return prepared;
+  // Builds whatever this field's config misses — typically only the
+  // synthetic trace, since every field shares the base deployment.
   StatusOr<Scenario> scenario = cache_.Build(config, 0);
   if (!scenario.ok()) return scenario.status();
 

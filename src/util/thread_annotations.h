@@ -11,7 +11,7 @@
 // Vocabulary (the standard capability-era names, WSNQ_-prefixed):
 //   WSNQ_CAPABILITY("mutex")   class declares a capability (wsnq::Mutex, or
 //                              a phantom phase capability like
-//                              ScenarioCache's prepare phase)
+//                              FoldPhase())
 //   WSNQ_SCOPED_CAPABILITY     RAII class that acquires/releases (MutexLock)
 //   WSNQ_GUARDED_BY(mu)        member may only be touched holding mu
 //   WSNQ_PT_GUARDED_BY(mu)     pointee may only be touched holding mu

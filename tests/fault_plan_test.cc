@@ -218,7 +218,7 @@ TEST(ArqTest, LosslessExchangeIsOneFrameOneAck) {
   ArqConfig config;
   config.enabled = true;
   int64_t clock = 0;
-  const ArqOutcome o =
+  const TransportPolicy::UplinkOutcome o =
       RunStopAndWait(config, &links, 1, 0, /*dst_down=*/false, &clock);
   EXPECT_TRUE(o.delivered);
   EXPECT_EQ(o.data_frames, 1);
@@ -233,7 +233,8 @@ TEST(ArqTest, DisabledArqIsASingleUnackedFrame) {
   ArqConfig config;
   config.enabled = false;
   int64_t clock = 0;
-  const ArqOutcome o = RunStopAndWait(config, &links, 1, 0, false, &clock);
+  const TransportPolicy::UplinkOutcome o =
+      RunStopAndWait(config, &links, 1, 0, false, &clock);
   EXPECT_TRUE(o.delivered);
   EXPECT_EQ(o.data_frames, 1);
   EXPECT_EQ(o.ack_frames, 0);
@@ -245,7 +246,7 @@ TEST(ArqTest, CrashedParentBurnsTheFullRetryBudget) {
   config.enabled = true;
   config.max_retx = 5;
   int64_t clock = 0;
-  const ArqOutcome o =
+  const TransportPolicy::UplinkOutcome o =
       RunStopAndWait(config, &links, 1, 0, /*dst_down=*/true, &clock);
   EXPECT_FALSE(o.delivered);
   EXPECT_EQ(o.data_frames, config.max_retx + 1);
@@ -262,7 +263,8 @@ TEST(ArqTest, OutcomeInvariantsHoldUnderHeavyLoss) {
   int delivered = 0;
   for (int msg = 0; msg < 2000; ++msg) {
     const int64_t before = clock;
-    const ArqOutcome o = RunStopAndWait(config, &links, 3, 0, false, &clock);
+    const TransportPolicy::UplinkOutcome o =
+        RunStopAndWait(config, &links, 3, 0, false, &clock);
     delivered += o.delivered;
     EXPECT_GE(o.data_frames, 1);
     EXPECT_LE(o.data_frames, config.max_retx + 1);
@@ -285,7 +287,8 @@ TEST(ArqTest, RetriesRecoverFromModerateLoss) {
     config.enabled = true;  // default max_retx = 16
     int64_t clock = 0;
     for (int msg = 0; msg < 1000; ++msg) {
-      const ArqOutcome o = RunStopAndWait(config, &links, 2, 0, false, &clock);
+      const TransportPolicy::UplinkOutcome o =
+          RunStopAndWait(config, &links, 2, 0, false, &clock);
       ASSERT_TRUE(o.delivered) << "loss=" << loss << " msg=" << msg;
     }
   }

@@ -1,15 +1,18 @@
 // Scenario-cache coverage (core/scenario_cache.h): content-key derivation,
-// hit/miss accounting through the Prepare/seal lifecycle, aliasing of the
-// shared-immutable artifacts across runs and sweep points (including under
-// the ThreadPool), and — the load-bearing property — cached scenarios
-// bit-identical to uncached ones, and aggregates identical at any thread
-// count, and a Prepare on a ThreadPool identical to the serial one. Runs
-// under the tsan CI job so the parallel Prepare and the sealed read-only
-// lookup phase are race-checked.
+// hit/miss accounting, each key built once however many threads ask for it
+// first, aliasing of the shared-immutable artifacts across runs and sweep
+// points (including under the ThreadPool), and — the load-bearing property
+// — cached scenarios bit-identical to uncached ones, and aggregates
+// identical at any thread count. Runs under the tsan CI job so concurrent
+// first use of the cache is race-checked.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -164,24 +167,21 @@ TEST(ScenarioCacheKeys, RoutingTreeKeyCoversRootStrategySalt) {
                                           ParentSelection::kNearest, 17));
 }
 
-// --- Lifecycle: Prepare, seal, hit/miss -----------------------------------
+// --- Hit/miss accounting --------------------------------------------------
 
 TEST(ScenarioCacheTest, PrepareThenBuildHitsEverything) {
   const SimulationConfig config = SmallSynthetic();
   ScenarioCache cache;
-  EXPECT_FALSE(cache.sealed());
   ASSERT_TRUE(cache.Prepare(config, 3).ok());
-  EXPECT_TRUE(cache.sealed());
-  // Per run: deployment + tree + source.
+  // Per run: deployment + tree + source, each built once.
   EXPECT_EQ(cache.size(), 9);
-  const int64_t misses_after_prepare = cache.misses();
+  EXPECT_EQ(cache.misses(), 9);
   for (int run = 0; run < 3; ++run) {
     auto scenario = cache.Build(config, run);
     ASSERT_TRUE(scenario.ok());
   }
-  EXPECT_EQ(cache.misses(), misses_after_prepare);  // all lookups hit
-  EXPECT_EQ(cache.sealed_drops(), 0);
-  EXPECT_GT(cache.hits(), 0);
+  EXPECT_EQ(cache.misses(), 9);  // all lookups hit
+  EXPECT_EQ(cache.hits(), 9);
 }
 
 TEST(ScenarioCacheTest, PressureWorkloadBuiltOncePerSeedNotPerRun) {
@@ -195,39 +195,25 @@ TEST(ScenarioCacheTest, PressureWorkloadBuiltOncePerSeedNotPerRun) {
   EXPECT_GE(cache.size(), 2 + 1);
 }
 
-TEST(ScenarioCacheTest, SealedCacheMissRebuildsFreshWithoutInsert) {
-  const SimulationConfig config = SmallSynthetic();
-  ScenarioCache cache;
-  ASSERT_TRUE(cache.Prepare(config, 1).ok());
-  const int64_t size_after_prepare = cache.size();
-
-  SimulationConfig other = SmallSynthetic();
-  other.seed = 77;  // never prepared
-  auto scenario = cache.Build(other, 0);
-  ASSERT_TRUE(scenario.ok());  // miss path falls back to a fresh build
-  EXPECT_EQ(cache.size(), size_after_prepare);  // sealed: nothing inserted
-  EXPECT_GT(cache.sealed_drops(), 0);
-
-  // And the fallback is still the correct scenario.
-  auto uncached = BuildScenario(other, 0);
-  ASSERT_TRUE(uncached.ok());
-  ExpectScenariosIdentical(scenario.value(), uncached.value(), other.rounds,
-                           "sealed-miss");
-}
-
-TEST(ScenarioCacheTest, PrepareReportsFirstFailingRunStatus) {
+/// The two failing configs: run `first_failing` is the first whose
+/// placement never connects.
+std::vector<std::pair<SimulationConfig, int>> FailingConfigs() {
   SimulationConfig never = SmallSynthetic();
   never.radio_range = 0.001;  // never connectable: run 0 already fails
   // Near the connectivity threshold only some runs find a connected
   // placement: here run 2 is the first to fail, and runs 4 and 5 succeed
-  // after it, so a merge that ran past run 2 would grow the map.
+  // after it, so a pass that ran past run 2 would grow the map.
   SimulationConfig sometimes = SmallSynthetic();
   sometimes.num_sensors = 8;
   sometimes.radio_range = 55.0;
+  return {{never, 0}, {sometimes, 2}};
+}
+
+TEST(ScenarioCacheTest, PrepareReportsFirstFailingRunStatus) {
   constexpr int kRuns = 8;
-  ThreadPool pool(4);
-  for (const auto& [config, first_failing] :
-       {std::pair{never, 0}, std::pair{sometimes, 2}}) {
+  for (const auto& [config, first_failing] : FailingConfigs()) {
+    const std::string context =
+        "first failing run " + std::to_string(first_failing);
     for (int run = 0; run < first_failing; ++run) {
       ASSERT_TRUE(BuildScenario(config, run).ok()) << run;
     }
@@ -235,27 +221,86 @@ TEST(ScenarioCacheTest, PrepareReportsFirstFailingRunStatus) {
     ASSERT_FALSE(uncached.ok());
     ScenarioCache serial;
     ASSERT_FALSE(serial.Prepare(config, kRuns).ok());
-    for (ThreadPool* prepare_pool :
-         {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const std::string context =
-          "first failing run " + std::to_string(first_failing) +
-          (prepare_pool == nullptr ? " serial" : " pool");
-      ScenarioCache cache;
-      const Status prepared = cache.Prepare(config, kRuns, prepare_pool);
-      ASSERT_FALSE(prepared.ok()) << context;
-      EXPECT_TRUE(cache.sealed()) << context;
-      EXPECT_EQ(prepared.code(), uncached.status().code()) << context;
-      EXPECT_EQ(prepared.message(), uncached.status().message()) << context;
-      EXPECT_EQ(cache.size(), serial.size()) << context;
-      EXPECT_EQ(cache.misses(), serial.misses()) << context;
-      EXPECT_EQ(cache.hits(), serial.hits()) << context;
+    ScenarioCache cache;
+    const Status prepared = cache.Prepare(config, kRuns);
+    ASSERT_FALSE(prepared.ok()) << context;
+    EXPECT_EQ(prepared.code(), uncached.status().code()) << context;
+    EXPECT_EQ(prepared.message(), uncached.status().message()) << context;
+    EXPECT_EQ(cache.size(), serial.size()) << context;
+    EXPECT_EQ(cache.misses(), serial.misses()) << context;
+    EXPECT_EQ(cache.hits(), serial.hits()) << context;
+  }
+}
+
+TEST(ScenarioCacheTest, RunExperimentReportsFirstFailingRunStatus) {
+  constexpr int kRuns = 8;
+  for (const auto& [failing, first_failing] : FailingConfigs()) {
+    const auto uncached = BuildScenario(failing, first_failing);
+    ASSERT_FALSE(uncached.ok());
+    for (int threads : {1, 4}) {
+      const std::string context = "first failing run " +
+                                  std::to_string(first_failing) +
+                                  " threads=" + std::to_string(threads);
+      SimulationConfig config = failing;
+      config.threads = threads;
+      const auto result = RunExperiment(
+          config, std::vector<AlgorithmKind>{PaperAlgorithms()[0]}, kRuns);
+      ASSERT_FALSE(result.ok()) << context;
+      EXPECT_EQ(result.status().code(), uncached.status().code()) << context;
+      EXPECT_EQ(result.status().message(), uncached.status().message())
+          << context;
     }
   }
 }
 
-// --- Parallel Prepare -----------------------------------------------------
+// --- Concurrent first use -------------------------------------------------
 
-TEST(ScenarioCacheTest, ParallelPrepareMatchesSerialPrepare) {
+TEST(ScenarioCacheTest, ConcurrentFirstUseBuildsEachKeyOnce) {
+  // Every requester arrives while the first one's build is still open, so
+  // a cache that checked, built and then inserted — with no in-flight
+  // marker — would build the key once per requester.
+  constexpr int kThreads = 4;
+  for (bool fail : {false, true}) {
+    const std::string context = fail ? "failing build" : "build";
+    ScenarioCache cache;
+    ThreadPool pool(kThreads);
+    std::atomic<int> arrived{0};
+    std::atomic<int> builds{0};
+    const internal::ArtifactStore::Builder build =
+        [&]() -> StatusOr<std::shared_ptr<const void>> {
+      ++builds;
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      // Give the last arrival time to reach its lookup too.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (fail) return Status::FailedPrecondition("no artifact");
+      return std::shared_ptr<const void>(std::make_shared<const int>(7));
+    };
+    std::vector<StatusOr<std::shared_ptr<const void>>> got(
+        kThreads, Status::Internal("unset"));
+    const Status status = pool.ParallelFor(kThreads, [&](int64_t i) {
+      ++arrived;
+      got[static_cast<size_t>(i)] = cache.GetOrBuild("one-key", build);
+      return Status::Ok();
+    });
+    ASSERT_TRUE(status.ok()) << context;
+    EXPECT_EQ(builds.load(), 1) << context;
+    EXPECT_EQ(cache.misses(), 1) << context;
+    EXPECT_EQ(cache.hits(), kThreads - 1) << context;
+    EXPECT_EQ(cache.size(), 1) << context;
+    for (const auto& result : got) {
+      EXPECT_EQ(result.ok(), !fail) << context;
+      if (fail) {
+        EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+            << context;
+        EXPECT_EQ(result.status().message(), "no artifact") << context;
+      } else if (result.ok()) {
+        EXPECT_EQ(result.value(), got[0].value()) << context;
+      }
+    }
+  }
+}
+
+TEST(ScenarioCacheTest, ParallelBuildsMatchSerialBuilds) {
   SimulationConfig multivalue = SmallSynthetic();
   multivalue.values_per_node = 2;
   SimulationConfig lossy = SmallPressure();
@@ -268,33 +313,36 @@ TEST(ScenarioCacheTest, ParallelPrepareMatchesSerialPrepare) {
   constexpr int kRuns = 6;
   for (const auto& [name, config] : configs) {
     ScenarioCache serial;
-    ASSERT_TRUE(serial.Prepare(config, kRuns).ok()) << name;
-    // Snapshot before the Builds below add hits.
-    const int64_t serial_size = serial.size();
-    const int64_t serial_misses = serial.misses();
-    const int64_t serial_hits = serial.hits();
+    std::vector<Scenario> expected;
+    for (int run = 0; run < kRuns; ++run) {
+      auto scenario = serial.Build(config, run);
+      ASSERT_TRUE(scenario.ok()) << name;
+      expected.push_back(std::move(scenario).value());
+    }
     for (int threads : {1, 2, 4, 8}) {
       const std::string context = name + " threads=" + std::to_string(threads);
       ThreadPool pool(threads);
       ScenarioCache parallel;
-      ASSERT_TRUE(parallel.Prepare(config, kRuns, &pool).ok()) << context;
-      EXPECT_TRUE(parallel.sealed()) << context;
-      EXPECT_EQ(parallel.size(), serial_size) << context;
-      EXPECT_EQ(parallel.misses(), serial_misses) << context;
-      EXPECT_EQ(parallel.hits(), serial_hits) << context;
-
-      const int64_t misses_after_prepare = parallel.misses();
+      std::vector<StatusOr<Scenario>> built;
       for (int run = 0; run < kRuns; ++run) {
-        auto expected = serial.Build(config, run);
-        auto actual = parallel.Build(config, run);
-        ASSERT_TRUE(expected.ok()) << context;
-        ASSERT_TRUE(actual.ok()) << context;
-        ExpectScenariosIdentical(actual.value(), expected.value(),
+        built.emplace_back(Status::Internal("unset"));
+      }
+      const Status status = pool.ParallelFor(kRuns, [&](int64_t run) {
+        built[static_cast<size_t>(run)] =
+            parallel.Build(config, static_cast<int>(run));
+        return Status::Ok();
+      });
+      ASSERT_TRUE(status.ok()) << context;
+      EXPECT_EQ(parallel.size(), serial.size()) << context;
+      EXPECT_EQ(parallel.misses(), serial.misses()) << context;
+      EXPECT_EQ(parallel.hits(), serial.hits()) << context;
+      for (int run = 0; run < kRuns; ++run) {
+        ASSERT_TRUE(built[static_cast<size_t>(run)].ok()) << context;
+        ExpectScenariosIdentical(built[static_cast<size_t>(run)].value(),
+                                 expected[static_cast<size_t>(run)],
                                  config.rounds,
                                  context + " run=" + std::to_string(run));
       }
-      EXPECT_EQ(parallel.misses(), misses_after_prepare) << context;
-      EXPECT_EQ(parallel.sealed_drops(), 0) << context;
     }
   }
 }
@@ -340,16 +388,18 @@ TEST(ScenarioCacheTest, SyntheticDeploymentSharedAcrossWorkloadSweep) {
   EXPECT_NE(a.value().source, b.value().source);
 }
 
-/// Prepares `configs` in order the way RunSweep does, evicting before each
-/// point when `evict` is set.
-void PrepareSweep(const std::vector<SimulationConfig>& configs, int runs,
-                  bool evict, ScenarioCache* cache) {
+/// Drives `cache` over `configs` the way RunSweep does: per point, evict
+/// (when `evict` is set), then build every run.
+void BuildSweep(const std::vector<SimulationConfig>& configs, int runs,
+                bool evict, ScenarioCache* cache) {
   for (size_t i = 0; i < configs.size(); ++i) {
     if (evict) {
       cache->Evict(std::span<const SimulationConfig>(configs).subspan(i),
                    runs);
     }
-    ASSERT_TRUE(cache->Prepare(configs[i], runs).ok());
+    for (int run = 0; run < runs; ++run) {
+      ASSERT_TRUE(cache->Build(configs[i], run).ok());
+    }
   }
 }
 
@@ -363,9 +413,9 @@ TEST(ScenarioCacheTest, EvictionFreesDeploymentsNoPointAheadUses) {
   }
   constexpr int kRuns = 3;
   ScenarioCache kept;
-  PrepareSweep(configs, kRuns, /*evict=*/false, &kept);
+  BuildSweep(configs, kRuns, /*evict=*/false, &kept);
   ScenarioCache evicted;
-  PrepareSweep(configs, kRuns, /*evict=*/true, &evicted);
+  BuildSweep(configs, kRuns, /*evict=*/true, &evicted);
   ScenarioCache last_only;
   ASSERT_TRUE(last_only.Prepare(configs.back(), kRuns).ok());
   EXPECT_EQ(evicted.size(), last_only.size());
@@ -377,7 +427,10 @@ TEST(ScenarioCacheTest, EvictionFreesDeploymentsNoPointAheadUses) {
 TEST(ScenarioCacheTest, EvictionKeepsWhatSharedDeploymentSweepsHit) {
   // fig7 (period), fig8 (noise) and fig10 (pressure skip) points share
   // their deployments: eviction must cost no hit and free nothing a later
-  // point builds on.
+  // point builds on, and every distinct key is built once per figure —
+  // fig7/fig8: 2 deployments + 2 trees + 3 x 2 sources; fig10: one
+  // workload + one SOM graph + 2 trees.
+  const int64_t distinct_keys[] = {10, 10, 4};
   std::vector<std::vector<SimulationConfig>> sweeps(3);
   for (double period : {8.0, 125.0, 500.0}) {
     sweeps[0].push_back(SmallSynthetic());
@@ -395,12 +448,14 @@ TEST(ScenarioCacheTest, EvictionKeepsWhatSharedDeploymentSweepsHit) {
   for (size_t i = 0; i < sweeps.size(); ++i) {
     const std::string context = "sweep " + std::to_string(i);
     ScenarioCache kept;
-    PrepareSweep(sweeps[i], 2, /*evict=*/false, &kept);
+    BuildSweep(sweeps[i], 2, /*evict=*/false, &kept);
     ScenarioCache evicted;
-    PrepareSweep(sweeps[i], 2, /*evict=*/true, &evicted);
+    BuildSweep(sweeps[i], 2, /*evict=*/true, &evicted);
     EXPECT_EQ(evicted.hits(), kept.hits()) << context;
     EXPECT_EQ(evicted.misses(), kept.misses()) << context;
     EXPECT_EQ(evicted.size(), kept.size()) << context;
+    EXPECT_EQ(kept.size(), distinct_keys[i]) << context;
+    EXPECT_EQ(evicted.misses(), distinct_keys[i]) << context;
   }
 }
 
@@ -417,16 +472,14 @@ TEST(ScenarioCacheTest, EvictionMatchesKeysOnlyAtFieldBoundaries) {
   const std::vector<SimulationConfig> ahead = {near};
   cache.Evict(ahead, 1);
   EXPECT_EQ(cache.size(), 0);
-  EXPECT_TRUE(cache.sealed());
 }
 
-TEST(ScenarioCacheTest, ConcurrentSealedBuildsAreRaceFreeAndIdentical) {
-  // Sealed-cache lookups run concurrently in the parallel experiment
-  // phase; under tsan this pins the read-only contract.
+TEST(ScenarioCacheTest, ConcurrentBuildsAreRaceFreeAndIdentical) {
+  // Run tasks build through one cache concurrently, the first of them on
+  // an empty cache; under tsan this pins the build-once contract.
   const SimulationConfig config = SmallPressure();
   ScenarioCache cache;
-  ASSERT_TRUE(cache.Prepare(config, 4).ok());
-  auto reference = cache.Build(config, 2);
+  auto reference = BuildScenario(config, 2);
   ASSERT_TRUE(reference.ok());
 
   constexpr int kTasks = 8;
@@ -441,11 +494,12 @@ TEST(ScenarioCacheTest, ConcurrentSealedBuildsAreRaceFreeAndIdentical) {
     return Status::Ok();
   });
   ASSERT_TRUE(status.ok());
+  EXPECT_EQ(cache.misses(), 3);  // workload, SOM graph, run 2's tree
+  ASSERT_TRUE(built[0].ok());
   for (int i = 0; i < kTasks; ++i) {
     ASSERT_TRUE(built[static_cast<size_t>(i)].ok()) << i;
     const Scenario& scenario = built[static_cast<size_t>(i)].value();
-    EXPECT_EQ(&scenario.network->graph(),
-              &reference.value().network->graph());
+    EXPECT_EQ(&scenario.network->graph(), &built[0].value().network->graph());
     ExpectScenariosIdentical(scenario, reference.value(), config.rounds,
                              "task " + std::to_string(i));
   }
