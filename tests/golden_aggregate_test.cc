@@ -4,10 +4,11 @@
 // approximate tier), so silent numeric drift from future refactors
 // (scenario seeding, energy model, protocol logic, aggregation order) fails
 // tier-1 instead of only showing up when the EXPERIMENTS.md sweeps are
-// rerun. Two more tables freeze the paper protocols under node churn with
-// tree repair (reliable links, then loss + ARQ), and a third freezes one
-// battery-drain lifetime run per routing-tree policy, so the routing-tree
-// rebuilds after a crash or a death are pinned too.
+// rerun. Four more tables freeze the paper protocols under node churn with
+// tree repair (reliable links on nearest-parent, degree-balanced and random
+// trees, then loss + ARQ), and a fifth freezes one battery-drain lifetime
+// run per routing-tree policy, so the routing-tree rebuilds after a crash
+// or a death are pinned under every parent-selection policy.
 //
 // The deployment and workload parameters are the §5.1 defaults (256
 // sensors in 200 m x 200 m, rho = 35 m, period 125, 5% noise, median
@@ -23,7 +24,8 @@
 //   WSNQ_UPDATE_GOLDEN=1 ./build/tests/golden_aggregate_test
 //
 // prints replacement kGolden / kExtensionGolden / kChurnGolden /
-// kChurnArqGolden / kLifetimeGolden tables to paste into this file (the
+// kChurnDegreeGolden / kChurnRandomGolden / kChurnArqGolden /
+// kLifetimeGolden tables to paste into this file (the
 // tests are skipped in that mode so regeneration never masquerades as a
 // pass).
 
@@ -185,6 +187,86 @@ constexpr GoldenRow kChurnGolden[] = {
 };
 
 // Regenerate with WSNQ_UPDATE_GOLDEN=1 (see file comment).
+constexpr GoldenRow kChurnDegreeGolden[] = {
+    {"TAG",
+     0x1.1767accca2fe8p-3, 0x1.9f8690180283ap-4,
+     0x1.68c33473579fdp-3, 0x1.c93cfbbff8fcap+7,
+     0x1.000325c53ef36p+8, 0x1.a1ba3ac10c972p+9,
+     0x0p+0, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"POS",
+     0x1.75690b554a1a5p-3, 0x1.53610dc01f073p-3,
+     0x1.a73cc60c78c24p-3, 0x1.5c3d2b59cd5bfp+7,
+     0x1.3164b8a7de6d2p+9, 0x1.f2b47582192e3p+6,
+     0x1.e29f79b475822p+0, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"HBC",
+     0x1.6374fd53173dcp-3, 0x1.40a87a18c74dp-3,
+     0x1.92e66c00fd4f1p-3, 0x1.6b8f53e1ab633p+7,
+     0x1.3eb0c9714fbcep+9, 0x1.55e6d1d60864cp+4,
+     0x1.e192e29f79b47p+0, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"IQ",
+     0x1.7a513f35b18f3p-4, 0x1.53802acd72825p-4,
+     0x1.a8e15f787c047p-4, 0x1.58ee59ab253d5p+8,
+     0x1.1ed1d60864b8ap+8, 0x1.f4ac10c9714fcp+6,
+     0x1.cda3ac10c9714p-3, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"LCLL-H",
+     0x1.5c23b7952d236p-3, 0x1.0d720b9667813p-3,
+     0x1.ba3a7cd71572bp-3, 0x1.7844cc4573744p+7,
+     0x1.65db47582192ep+8, 0x1.31714fbcda3acp+3,
+     0x1.1b47582192e2ap-1, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"LCLL-S",
+     0x1.1ce9eeaf60848p-3, 0x1.b8191fffe3659p-4,
+     0x1.69531550ca1cep-3, 0x1.cfe2f010a4b5ep+7,
+     0x1.e049714fbcda4p+7, 0x1.a9714fbcda3adp+1,
+     0x1.4fbcda3ac10c9p-3, 0x1.39b47582192e3p+0,
+     7, 76},
+};
+
+// Regenerate with WSNQ_UPDATE_GOLDEN=1 (see file comment).
+constexpr GoldenRow kChurnRandomGolden[] = {
+    {"TAG",
+     0x1.8f25a01db200ep-3, 0x1.09ffe68f23c71p-3,
+     0x1.1b2ed080700afp-2, 0x1.4c6836517eaedp+7,
+     0x1.ff5a3ac10c972p+7, 0x1.a1ba3ac10c972p+9,
+     0x0p+0, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"POS",
+     0x1.c186a33574c6cp-3, 0x1.7d1c3895e36b3p-3,
+     0x1.09ed8f23923f3p-2, 0x1.28f268dbcc39ap+7,
+     0x1.e80fbcda3ac1p+8, 0x1.f2b47582192e3p+6,
+     0x1.e29f79b475822p+0, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"HBC",
+     0x1.a8c475b167949p-3, 0x1.6a83e8d2a42c7p-3,
+     0x1.f1e0f08fef2acp-3, 0x1.3404de9b598acp+7,
+     0x1.fed4fbcda3ac1p+8, 0x1.55e6d1d60864cp+4,
+     0x1.e192e29f79b47p+0, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"IQ",
+     0x1.d83d0b039a8a5p-4, 0x1.866b71f878f54p-4,
+     0x1.1439f8af6a48p-3, 0x1.1b766a6aa98p+8,
+     0x1.d1p+7, 0x1.eb47582192e2ap+6,
+     0x1.cda3ac10c9714p-3, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"LCLL-H",
+     0x1.d3c51d88ae0dap-3, 0x1.68654c1340ed1p-3,
+     0x1.21b8f182842b8p-2, 0x1.2b5ae16f6893fp+7,
+     0x1.3e725c53ef369p+8, 0x1.31714fbcda3acp+3,
+     0x1.1b47582192e2ap-1, 0x1.39b47582192e3p+0,
+     7, 76},
+    {"LCLL-S",
+     0x1.825e1a4b60694p-3, 0x1.2329c8c8186a8p-3,
+     0x1.df87448482b4ap-3, 0x1.6fe5e1f51cea2p+7,
+     0x1.af3ac10c9714fp+7, 0x1.a9714fbcda3adp+1,
+     0x1.4fbcda3ac10c9p-3, 0x1.39b47582192e3p+0,
+     7, 76},
+};
+
+// Regenerate with WSNQ_UPDATE_GOLDEN=1 (see file comment).
 constexpr GoldenRow kChurnArqGolden[] = {
     {"TAG",
      0x1.8e9d2f9a3da8dp-2, 0x1.3401b361ebfaep-2,
@@ -276,6 +358,14 @@ SimulationConfig ChurnConfig() {
   return config;
 }
 
+/// ChurnConfig over a routing tree built with `selection`; repair
+/// rebuilds with the same policy.
+SimulationConfig ChurnConfig(ParentSelection selection) {
+  SimulationConfig config = ChurnConfig();
+  config.tree_strategy = selection;
+  return config;
+}
+
 /// ChurnConfig on lossy links with stop-and-wait ARQ.
 SimulationConfig ChurnArqConfig() {
   SimulationConfig config = ChurnConfig();
@@ -356,6 +446,17 @@ TEST(GoldenAggregate, ExtensionsMatchFrozenValues) {
 TEST(GoldenAggregate, ChurnWithRepairMatchesFrozenValues) {
   ExpectMatchesGolden(ChurnConfig(), PaperAlgorithms(), kChurnGolden,
                       "kChurnGolden");
+}
+
+TEST(GoldenAggregate, ChurnWithRepairOnDegreeBalancedTreeMatchesFrozenValues) {
+  ExpectMatchesGolden(ChurnConfig(ParentSelection::kDegreeBalanced),
+                      PaperAlgorithms(), kChurnDegreeGolden,
+                      "kChurnDegreeGolden");
+}
+
+TEST(GoldenAggregate, ChurnWithRepairOnRandomTreeMatchesFrozenValues) {
+  ExpectMatchesGolden(ChurnConfig(ParentSelection::kRandom), PaperAlgorithms(),
+                      kChurnRandomGolden, "kChurnRandomGolden");
 }
 
 TEST(GoldenAggregate, ChurnWithRepairUnderArqMatchesFrozenValues) {
