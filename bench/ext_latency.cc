@@ -76,7 +76,9 @@ int main(int argc, char** argv) {
       wave_executor.emplace(wave_threads, /*target_parts=*/4 * wave_threads);
       net->set_wave_executor(&*wave_executor);
     }
-    const TdmaSchedule schedule(net->graph(), net->tree());
+    // The schedule colors the radio graph, so it takes the tree by label.
+    const SpanningTree tree = RelabelTree(net->tree(), net->labels());
+    const TdmaSchedule schedule(net->graph(), tree);
     const double cc_slots =
         static_cast<double>(schedule.ConvergecastSlots());
     const double flood_slots = static_cast<double>(schedule.FloodSlots());

@@ -77,7 +77,7 @@ struct GkOps {
 
 /// A node uplinks the sampled values of its subtree iff there are any.
 /// `seed` already carries the round, so the draw is a pure function of
-/// (seed, round, vertex).
+/// (seed, round, label).
 struct SamplingOps {
   Network* net;
   const std::vector<int64_t>& values;
@@ -89,10 +89,9 @@ struct SamplingOps {
   WaveSend Process(int v, WaveLane& /*lane*/) {
     std::vector<int64_t>& sample = rows[static_cast<size_t>(v)];
     if (!net->is_root(v)) {
-      const double u =
-          static_cast<double>(
-              Mix(seed ^ (static_cast<uint64_t>(v) << 20)) >> 11) *
-          0x1.0p-53;
+      // Keyed by label, so the draw does not depend on the vertex layout.
+      const uint64_t key = static_cast<uint64_t>(net->label(v)) << 20;
+      const double u = static_cast<double>(Mix(seed ^ key) >> 11) * 0x1.0p-53;
       if (u < probability) sample.push_back(values[static_cast<size_t>(v)]);
     }
     for (int child : net->tree().children[static_cast<size_t>(v)]) {

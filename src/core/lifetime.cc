@@ -16,7 +16,7 @@ namespace {
 /// to the original deployment.
 struct Epoch {
   std::unique_ptr<Network> network;
-  /// original_of[v]: original vertex id of epoch vertex v.
+  /// original_of[v]: the deployment label of epoch vertex v.
   std::vector<int> original_of;
   int64_t k = 0;
 };
@@ -27,8 +27,9 @@ struct Epoch {
 StatusOr<Epoch> BuildEpoch(const Scenario& base, const SimulationConfig& config,
                            std::vector<char>* alive,
                            std::vector<int>* cut_off) {
+  // Liveness, the cut-off list and the epoch graph are all by label.
   const RadioGraph& full = base.network->graph();
-  const int root = base.network->root();
+  const int root = base.network->label(base.network->root());
   WSNQ_CHECK((*alive)[static_cast<size_t>(root)]);
 
   const std::vector<int> depth = LiveHopDepths(full, root, alive);
@@ -40,6 +41,7 @@ StatusOr<Epoch> BuildEpoch(const Scenario& base, const SimulationConfig& config,
   }
 
   Epoch epoch;
+  std::vector<int> survivors;  // epoch graph index -> deployment label
   std::vector<Point2D> points;
   int epoch_root = -1;
   for (size_t v = 0; v < alive->size(); ++v) {
@@ -47,19 +49,23 @@ StatusOr<Epoch> BuildEpoch(const Scenario& base, const SimulationConfig& config,
     if (static_cast<int>(v) == root) {
       epoch_root = static_cast<int>(points.size());
     }
-    epoch.original_of.push_back(static_cast<int>(v));
+    survivors.push_back(static_cast<int>(v));
     points.push_back(full.point(static_cast<int>(v)));
   }
-  if (epoch.original_of.size() < 2) {
+  if (survivors.size() < 2) {
     return Status::FailedPrecondition("no reachable sensors remain");
   }
-  RadioGraph graph(std::move(points), config.radio_range);
+  auto graph = std::make_shared<const RadioGraph>(std::move(points),
+                                                  config.radio_range);
   StatusOr<SpanningTree> tree =
-      BuildRoutingTree(graph, epoch_root, config.tree_strategy, config.seed);
+      BuildRoutingTree(*graph, epoch_root, config.tree_strategy, config.seed);
   if (!tree.ok()) return tree.status();
-  epoch.network = std::make_unique<Network>(
-      std::move(graph), std::move(tree).value(), config.energy,
-      config.packetizer);
+  epoch.network = std::make_unique<Network>(Network::InPostOrder(
+      std::move(graph), tree.value(), config.energy, config.packetizer));
+  for (int v = 0; v < epoch.network->num_vertices(); ++v) {
+    epoch.original_of.push_back(
+        survivors[static_cast<size_t>(epoch.network->label(v))]);
+  }
   const int64_t sensors = epoch.network->num_sensors();
   epoch.k = std::clamp<int64_t>(
       static_cast<int64_t>(config.phi * static_cast<double>(sensors)), 1,
@@ -74,9 +80,10 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
     const LifetimeOptions& options) {
   StatusOr<Scenario> base = BuildScenario(config, run);
   if (!base.ok()) return base.status();
-  const int total_vertices = base.value().network->num_vertices();
-  const int total_sensors = base.value().network->num_sensors();
-  const int root = base.value().network->root();
+  const Network& deployment = *base.value().network;
+  const int total_vertices = deployment.num_vertices();
+  const int total_sensors = deployment.num_sensors();
+  const int root = deployment.label(deployment.root());
 
   std::vector<char> alive(static_cast<size_t>(total_vertices), 1);
   std::vector<double> battery(static_cast<size_t>(total_vertices),
@@ -105,17 +112,21 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
                      base.value().source->range_max(), config.wire);
     ++result.reinit_epochs;
 
-    // Measurements of the epoch's vertices (by epoch index), refilled every
-    // round. The sink carries no sensor and keeps its 0.
+    // Measurements of the epoch's vertices (by epoch vertex id), refilled
+    // every round. The sink carries no sensor and keeps its 0.
     std::vector<int64_t> values(epoch.original_of.size(), 0);
+    std::vector<int> sensor_of(epoch.original_of.size());
+    for (size_t v = 0; v < epoch.original_of.size(); ++v) {
+      sensor_of[v] = base.value().sensor_of_vertex[static_cast<size_t>(
+          deployment.vertex_of(epoch.original_of[v]))];
+    }
     // Run this epoch until somebody dies (round 0 of the protocol is its
     // re-initialization, charged like any other round).
     bool epoch_alive = true;
     for (int64_t epoch_round = 0; epoch_alive && round < options.max_rounds;
          ++epoch_round, ++round) {
       for (size_t v = 0; v < epoch.original_of.size(); ++v) {
-        const int sensor = base.value().sensor_of_vertex[static_cast<size_t>(
-            epoch.original_of[v])];
+        const int sensor = sensor_of[v];
         if (sensor >= 0) values[v] = base.value().source->Value(sensor, round);
       }
       net->BeginRound();
@@ -126,13 +137,14 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
         ++result.exact_rounds;
       }
 
-      // Drain batteries; collect deaths.
+      // Drain batteries; collect deaths, in label order.
       bool any_death = false;
-      for (size_t v = 0; v < epoch.original_of.size(); ++v) {
-        const int original = epoch.original_of[v];
+      for (int survivor = 0; survivor < net->num_vertices(); ++survivor) {
+        const int v = net->vertex_of(survivor);
+        const int original = epoch.original_of[static_cast<size_t>(v)];
         if (original == root) continue;  // the sink has wall power
         double& charge = battery[static_cast<size_t>(original)];
-        charge -= net->round_energy(static_cast<int>(v));
+        charge -= net->round_energy(v);
         if (charge <= 0.0 && alive[static_cast<size_t>(original)]) {
           alive[static_cast<size_t>(original)] = 0;
           result.deaths.push_back({round, original, /*battery=*/true});

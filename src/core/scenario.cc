@@ -13,6 +13,7 @@
 #include "fault/fault_plan.h"
 #include "net/placement.h"
 #include "net/radio_graph.h"
+#include "net/wave.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -38,9 +39,19 @@ std::vector<int64_t> Scenario::ValuesByVertex(int64_t round) const {
 
 void Scenario::MaterializeValues(int64_t rounds) {
   value_rows_.resize(static_cast<size_t>(rounds));
-  for (int64_t round = 0; round < rounds; ++round) {
-    FillRow(round, &value_rows_[static_cast<size_t>(round)]);
+  WaveExecutor* executor = network->wave_executor();
+  if (executor == nullptr) {
+    for (int64_t round = 0; round < rounds; ++round) {
+      FillRow(round, &value_rows_[static_cast<size_t>(round)]);
+    }
+    return;
   }
+  // Each row is independent integer work into its own slot.
+  const Status status = executor->pool()->ParallelFor(rounds, [&](int64_t r) {
+    FillRow(r, &value_rows_[static_cast<size_t>(r)]);
+    return Status::Ok();
+  });
+  WSNQ_CHECK(status.ok());
 }
 
 void Scenario::MaterializeSortedSensors() {
@@ -117,6 +128,20 @@ Artifact<SpanningTree> RoutingTemplate(internal::ArtifactStore* store,
   });
 }
 
+/// sensor_of_vertex of `net`: `sensor_of_label(label(v))` for every sensor
+/// vertex v, -1 for the root.
+template <typename SensorOfLabel>
+std::vector<int> SensorsByVertex(const Network& net,
+                                 const SensorOfLabel& sensor_of_label) {
+  std::vector<int> sensors(static_cast<size_t>(net.num_vertices()), -1);
+  for (int v = 0; v < net.num_vertices(); ++v) {
+    if (!net.is_root(v)) {
+      sensors[static_cast<size_t>(v)] = sensor_of_label(net.label(v));
+    }
+  }
+  return sensors;
+}
+
 StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
                                   internal::ArtifactStore* store) {
   // Deployment (placement + expanded root + radio graph): one Rng stream
@@ -189,19 +214,17 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
                                  build_trace)
           .value();
 
-  // Per-run assembly: the Network gets its own copy of the tree template
-  // (fault repair mutates it) while aliasing the immutable radio graph.
+  // Per-run assembly: the Network gets its own copy of the tree template,
+  // laid out in post order (fault repair mutates it), while aliasing the
+  // immutable radio graph.
   Scenario scenario;
-  scenario.network = std::make_unique<Network>(
-      deploy->graph, SpanningTree(*tree.value()), config.energy,
-      config.packetizer);
-  const int num_vertices = scenario.network->num_vertices();
-  scenario.sensor_of_vertex.assign(static_cast<size_t>(num_vertices), -1);
-  int next_sensor = 0;
-  for (int v = 0; v < num_vertices; ++v) {
-    if (v == deploy->root) continue;
-    scenario.sensor_of_vertex[static_cast<size_t>(v)] = next_sensor++;
-  }
+  scenario.network = std::make_unique<Network>(Network::InPostOrder(
+      deploy->graph, *tree.value(), config.energy, config.packetizer));
+  // Sensors are numbered in placement order, skipping the root.
+  scenario.sensor_of_vertex = SensorsByVertex(
+      *scenario.network, [&](int label) {
+        return label < deploy->root ? label : label - 1;
+      });
   scenario.shared_sources.push_back(trace);
   scenario.source = trace.get();
 
@@ -278,14 +301,11 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
   if (!tree.ok()) return tree.status();
 
   Scenario scenario;
-  scenario.network = std::make_unique<Network>(
-      graph, SpanningTree(*tree.value()), config.energy, config.packetizer);
-  const int num_vertices = scenario.network->num_vertices();
-  scenario.sensor_of_vertex.assign(static_cast<size_t>(num_vertices), -1);
-  for (int v = 0; v < num_vertices; ++v) {
-    if (v == root) continue;
-    scenario.sensor_of_vertex[static_cast<size_t>(v)] = v;  // station index
-  }
+  scenario.network = std::make_unique<Network>(Network::InPostOrder(
+      graph, *tree.value(), config.energy, config.packetizer));
+  // Station index = label.
+  scenario.sensor_of_vertex =
+      SensorsByVertex(*scenario.network, [](int label) { return label; });
   // The trace rides along so the scaler's raw back-pointer stays valid for
   // the scenario's whole lifetime, wherever the workload was built. The
   // cached trace is canonical (skip 0, see above); a strided view applies
@@ -337,7 +357,7 @@ StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run,
     Network* network = scenario.value().network.get();
     network->set_transport_policy(std::make_unique<FaultPlan>(
         config.fault, config.seed, run, network->num_vertices(),
-        network->root(), config.tree_strategy,
+        network->label(network->root()), config.tree_strategy,
         RoutingTreeSalt(config, run)));
   }
   return scenario;

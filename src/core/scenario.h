@@ -67,7 +67,9 @@ struct Scenario {
   std::vector<std::shared_ptr<const ValueSource>> shared_sources;
   /// The source protocols read from (last element of the chain).
   const ValueSource* source = nullptr;
-  /// sensor_of_vertex[v]: index into the source; -1 for the root.
+  /// sensor_of_vertex[v]: index into the source; -1 for the root. By
+  /// vertex id: the network is laid out in its routing tree's post order
+  /// (Network::InPostOrder), and the value rows follow it.
   std::vector<int> sensor_of_vertex;
   /// Rank queried: max(1, floor(phi * |N|)).
   int64_t k = 0;
@@ -80,7 +82,8 @@ struct Scenario {
   /// replay reads the identical materialized row through ValuesView
   /// instead of re-deriving it per factory (values are integers, so the
   /// rows are bit-identical to the lazy path by definition). Reads the
-  /// current `source`; call after any source override.
+  /// current `source`; call after any source override. The rows are filled
+  /// on the network's wave executor pool when one is installed.
   void MaterializeValues(int64_t rounds);
   int64_t materialized_rounds() const {
     return static_cast<int64_t>(value_rows_.size());

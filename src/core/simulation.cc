@@ -15,11 +15,13 @@ namespace {
 /// (net/ cannot include core/, so the implementation lives here).
 class MetricsSendObserver : public SendObserver {
  public:
-  MetricsSendObserver(const SpanningTree* tree, MetricsRegistry* registry)
-      : tree_(tree), registry_(registry) {}
+  MetricsSendObserver(const Network* net, MetricsRegistry* registry)
+      : net_(net), registry_(registry) {}
 
   void OnSend(const SendInfo& info) override {
-    const int depth = tree_->depth[static_cast<size_t>(info.sender)];
+    // The sender is a label; the tree is by vertex id.
+    const int depth = net_->tree().depth[static_cast<size_t>(
+        net_->vertex_of(info.sender))];
     if (info.kind == SendKind::kUplink) {
       // Every on-air data frame counts; on the reliable medium
       // data_frames == 1 and these reduce to the classic counters.
@@ -43,7 +45,7 @@ class MetricsSendObserver : public SendObserver {
   }
 
  private:
-  const SpanningTree* tree_;
+  const Network* net_;
   MetricsRegistry* registry_;
 };
 
@@ -56,7 +58,7 @@ SimulationResult RunSimulation(const Scenario& scenario,
   net->ResetAccounting();
 
   SimulationResult result;
-  MetricsSendObserver observer(&net->tree(), &result.metrics);
+  MetricsSendObserver observer(net, &result.metrics);
   if (collect_metrics) net->set_send_observer(&observer);
 
   WSNQ_TRACE_SET_PROTO(protocol->name());
@@ -140,9 +142,11 @@ SimulationResult RunSimulation(const Scenario& scenario,
       result.metrics.Inc("repair_epochs", net->tree_epoch());
     }
     // Per-depth lifetime energy: valid because ResetAccounting above zeroed
-    // the totals for this protocol's replay.
+    // the totals for this protocol's replay. Summed in label order, so the
+    // floating-point sums do not depend on the vertex layout.
     const SpanningTree& tree = net->tree();
-    for (int v = 0; v < net->num_vertices(); ++v) {
+    for (int label = 0; label < net->num_vertices(); ++label) {
+      const int v = net->vertex_of(label);
       if (net->is_root(v)) continue;
       result.metrics.Add(
           KeyedMetric("depth_energy_mj",

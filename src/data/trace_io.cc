@@ -1,5 +1,7 @@
 #include "data/trace_io.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -68,6 +70,9 @@ StatusOr<InMemoryValueSource> ReadTraceCsv(const std::string& path) {
                   &range_min, &range_max) != 2) {
     return Status::InvalidArgument("missing wsnq-trace header: " + path);
   }
+  if (range_min > range_max) {
+    return Status::InvalidArgument("header range_min > range_max in " + path);
+  }
   if (!std::getline(in, line)) {
     return Status::InvalidArgument("missing column header: " + path);
   }
@@ -84,10 +89,28 @@ StatusOr<InMemoryValueSource> ReadTraceCsv(const std::string& path) {
         first = false;
         continue;
       }
+      // The whole cell must be one in-range integer (trailing whitespace,
+      // such as a CRLF line end, aside).
       char* end = nullptr;
+      errno = 0;
       const long long parsed = std::strtoll(cell.c_str(), &end, 10);
-      if (end == cell.c_str()) {
+      const bool overflow = errno == ERANGE;
+      const bool no_digits = end == cell.c_str();
+      while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end))) {
+        ++end;
+      }
+      if (no_digits || *end != '\0') {
         return Status::InvalidArgument("bad cell '" + cell + "' in " + path);
+      }
+      if (overflow) {
+        return Status::InvalidArgument("cell '" + cell +
+                                       "' overflows int64 in " + path);
+      }
+      if (parsed < range_min || parsed > range_max) {
+        return Status::InvalidArgument(
+            "cell '" + cell + "' outside the header's range [" +
+            std::to_string(range_min) + ", " + std::to_string(range_max) +
+            "] in " + path);
       }
       row.push_back(parsed);
     }

@@ -84,17 +84,21 @@ void FaultPlan::OnRoundStart(int64_t round, Network* net) {
   if (!config_.repair) return;
   // Rebuild the live routing tree under the run's own policy and salt and
   // hand it to the network; the epoch bump makes every stateful protocol
-  // re-validate instead of silently miscounting over a stale topology.
+  // re-validate instead of silently miscounting over a stale topology. The
+  // plan works in labels throughout: the graph's, the victims', and those
+  // of the network's current parents.
   SpanningTree repaired = BuildLiveRoutingTree(net->graph(), root_, alive,
                                                tree_selection_, tree_salt_);
   const std::vector<int>& old_parent = net->tree().parent;
   bool moved = false;
   for (int v = 0; v < num_vertices_; ++v) {
-    if (repaired.parent[static_cast<size_t>(v)] !=
-        old_parent[static_cast<size_t>(v)]) {
+    const int old_vertex =
+        old_parent[static_cast<size_t>(net->vertex_of(v))];
+    const int old = old_vertex < 0 ? -1 : net->label(old_vertex);
+    if (repaired.parent[static_cast<size_t>(v)] != old) {
       WSNQ_TRACE_EVENT("fault", "repair", v,
                        {"parent", repaired.parent[static_cast<size_t>(v)]},
-                       {"old_parent", old_parent[static_cast<size_t>(v)]});
+                       {"old_parent", old});
       moved = true;
     }
   }

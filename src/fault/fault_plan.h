@@ -54,6 +54,8 @@ struct FaultConfig {
 /// replay the identical fault sequence. Tree repair rebuilds with
 /// `tree_selection` and `tree_salt`, the policy and salt the run's routing
 /// tree was built with, so a fully recovered network holds its own tree.
+/// Every vertex the plan names (`root`, crash victims, link keys) is a
+/// label, the node's placement index (net/network.h).
 class FaultPlan : public TransportPolicy {
  public:
   FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,

@@ -116,7 +116,9 @@ StatusOr<EnumerationResult> RunEnumeration(const McOptions& options) {
   StatusOr<McContext> probe = BuildMcContext(options);
   if (!probe.ok()) return probe.status();
   const int num_vertices = probe.value().scenario.network->num_vertices();
-  const int root = probe.value().scenario.network->root();
+  // Crash victims are labels (placement indices), like every FaultPlan key.
+  const Network& net = *probe.value().scenario.network;
+  const int root = net.label(net.root());
 
   const std::vector<AlgorithmKind> algorithms =
       options.algorithms.empty() ? PaperAlgorithms() : options.algorithms;

@@ -31,6 +31,7 @@ namespace wsnq {
 /// ascending x crash_round ascending x crash_lens in option order) when
 /// max_crashes >= 1. Rounds are [1, rounds - 1] so both the crash and (for
 /// short windows) the recovery transition fall inside the horizon.
+/// Victims and `root` are labels (net/network.h).
 std::vector<McCrashSpec> EnumerateCrashSpecs(const McOptions& options,
                                              int num_vertices, int root);
 

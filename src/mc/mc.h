@@ -38,7 +38,7 @@
 
 namespace wsnq {
 
-/// One enumerated crash: `victim` down for rounds
+/// One enumerated crash: `victim` (a label, net/network.h) down for rounds
 /// [crash_round, crash_round + crash_len). victim < 0 means no crash.
 struct McCrashSpec {
   int victim = -1;

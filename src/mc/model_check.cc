@@ -40,6 +40,14 @@ StatusOr<McReport> RunModelCheck(const McOptions& options) {
 StatusOr<ScheduleResult> ReplayRepro(const McRepro& repro) {
   StatusOr<McContext> context = BuildMcContext(repro.options);
   if (!context.ok()) return context.status();
+  // The root is drawn with the deployment, so only now can a victim be
+  // checked against it; the sink never crashes.
+  const Network& net = *context.value().scenario.network;
+  if (repro.schedule.crash.victim == net.label(net.root())) {
+    return Status::InvalidArgument(
+        "repro: crash victim " + std::to_string(repro.schedule.crash.victim) +
+        " is the root");
+  }
   return RunSchedule(&context.value(), repro.options, repro.algo,
                      repro.schedule);
 }

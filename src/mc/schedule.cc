@@ -1,6 +1,7 @@
 #include "mc/schedule.h"
 
 #include <cctype>
+#include <cmath>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +84,14 @@ std::string DoubleLiteral(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
+
+/// The largest whole number a double holds exactly (2^53).
+constexpr double kMaxWhole = 9007199254740992.0;
+/// Replay bounds: the model checker's documented node bound, and round and
+/// retransmission caps that keep a replay's memory and time small.
+constexpr double kMaxReplayNodes = 12;
+constexpr double kMaxReplayRounds = 10000;
+constexpr double kMaxReplayRetx = 1000;
 
 /// Minimal parser for the flat repro objects ReproToJson emits: one level
 /// of "key": value pairs where a value is a string, a number, a bool, or
@@ -215,6 +224,12 @@ class FlatJsonParser {
           double v = 0.0;
           Status status = ParseNumber(&v);
           if (!status.ok()) return status;
+          // Checked before the cast: out-of-range double -> int64 is UB.
+          if (!(v >= 0.0 && v <= kMaxWhole) || v != std::floor(v)) {
+            return Error("array " + key +
+                         " holds a value that is not a whole number in "
+                         "[0, 2^53]");
+          }
           items.push_back(static_cast<int64_t>(v));
           SkipSpace();
           if (Consume(',')) continue;
@@ -249,6 +264,39 @@ class FlatJsonParser {
   std::vector<std::pair<std::string, std::vector<int64_t>>> arrays_;
   std::vector<std::string> keys_;
 };
+
+/// Reads the optional whole-number field `key` into `*out`, checking that
+/// it lies in [lo, hi] before the cast.
+template <typename T>
+Status ReadWhole(const FlatJsonParser& parser, const char* key, double lo,
+                 double hi, T* out) {
+  if (!parser.HasNumber(key)) return Status::Ok();
+  const double v = parser.GetNumber(key);
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) {
+    return Status::InvalidArgument(
+        std::string("repro JSON: \"") + key + "\" must be a whole number in [" +
+        DoubleLiteral(lo) + ", " + DoubleLiteral(hi) + "]");
+  }
+  *out = static_cast<T>(v);
+  return Status::Ok();
+}
+
+/// Reads the optional real field `key` into `*out`, checking that it is
+/// finite and lies in (lo, hi] (`lo` itself admitted when `lo_closed`).
+Status ReadReal(const FlatJsonParser& parser, const char* key, double lo,
+                bool lo_closed, double hi, double* out) {
+  if (!parser.HasNumber(key)) return Status::Ok();
+  const double v = parser.GetNumber(key);
+  const bool above = lo_closed ? v >= lo : v > lo;
+  if (!std::isfinite(v) || !above || !(v <= hi)) {
+    return Status::InvalidArgument(
+        std::string("repro JSON: \"") + key + "\" must be a number in " +
+        (lo_closed ? "[" : "(") + DoubleLiteral(lo) + ", " +
+        DoubleLiteral(hi) + "]");
+  }
+  *out = v;
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -316,44 +364,37 @@ StatusOr<McRepro> ReproFromJson(const std::string& json) {
     if (!kind.ok()) return kind.status();
     repro.algo = kind.value();
   }
-  if (parser.HasNumber("nodes")) {
-    repro.options.nodes = static_cast<int>(parser.GetNumber("nodes"));
-  }
-  if (parser.HasNumber("radio")) {
-    repro.options.radio_range = parser.GetNumber("radio");
-  }
-  if (parser.HasNumber("rounds")) {
-    repro.options.rounds = static_cast<int>(parser.GetNumber("rounds"));
-  }
-  if (parser.HasNumber("seed")) {
-    repro.options.seed = static_cast<uint64_t>(parser.GetNumber("seed"));
-  }
-  if (parser.HasNumber("phi")) repro.options.phi = parser.GetNumber("phi");
-  if (parser.HasNumber("period")) {
-    repro.options.period_rounds = parser.GetNumber("period");
-  }
-  if (parser.HasNumber("noise")) {
-    repro.options.noise_percent = parser.GetNumber("noise");
+  // Every field is range-checked before its cast, against what the runner
+  // needs: the model checker's node bound, a bounded value matrix, a
+  // connected-graph radius, and a crash victim that exists.
+  McOptions& options = repro.options;
+  McCrashSpec& crash = repro.schedule.crash;
+  for (const Status& field : {
+           ReadWhole(parser, "nodes", 2, kMaxReplayNodes, &options.nodes),
+           ReadReal(parser, "radio", 0.0, false, kMaxWhole,
+                    &options.radio_range),
+           ReadWhole(parser, "rounds", 1, kMaxReplayRounds, &options.rounds),
+           ReadWhole(parser, "seed", 0, 0x1.fffffffffffffp+63, &options.seed),
+           ReadReal(parser, "phi", 0.0, true, 1.0, &options.phi),
+           ReadReal(parser, "period", 0.0, false, kMaxWhole,
+                    &options.period_rounds),
+           ReadReal(parser, "noise", 0.0, true, 100.0, &options.noise_percent),
+           ReadWhole(parser, "max_retx", 0, kMaxReplayRetx, &options.max_retx),
+           ReadWhole(parser, "crash_round", 0, kMaxReplayRounds,
+                     &crash.crash_round),
+           ReadWhole(parser, "crash_len", 0, kMaxReplayRounds,
+                     &crash.crash_len),
+       }) {
+    if (!field.ok()) return field;
   }
   if (parser.HasNumber("arq")) {
-    repro.options.arq = parser.GetNumber("arq") != 0.0;
+    options.arq = parser.GetNumber("arq") != 0.0;
   }
-  if (parser.HasNumber("max_retx")) {
-    repro.options.max_retx = static_cast<int>(parser.GetNumber("max_retx"));
-  }
+  // After "nodes": the victim is a label of this deployment, or -1 (none).
+  Status victim = ReadWhole(parser, "crash_victim", -1, options.nodes - 1,
+                            &crash.victim);
+  if (!victim.ok()) return victim;
   repro.schedule.drops = parser.GetArray("drops");
-  if (parser.HasNumber("crash_victim")) {
-    repro.schedule.crash.victim =
-        static_cast<int>(parser.GetNumber("crash_victim"));
-  }
-  if (parser.HasNumber("crash_round")) {
-    repro.schedule.crash.crash_round =
-        static_cast<int64_t>(parser.GetNumber("crash_round"));
-  }
-  if (parser.HasNumber("crash_len")) {
-    repro.schedule.crash.crash_len =
-        static_cast<int64_t>(parser.GetNumber("crash_len"));
-  }
   repro.detail = parser.GetString("detail");
   return repro;
 }

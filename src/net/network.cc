@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "net/wave.h"
@@ -17,15 +18,44 @@ Network::Network(RadioGraph graph, SpanningTree tree, EnergyModel energy,
 
 Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
                  EnergyModel energy, Packetizer packetizer)
+    : Network(std::move(graph), std::move(tree), std::vector<int>{}, energy,
+              packetizer) {}
+
+Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
+                 std::vector<int> labels, EnergyModel energy,
+                 Packetizer packetizer)
     : graph_(std::move(graph)),
+      labels_(std::move(labels)),
       tree_(std::move(tree)),
       energy_(energy),
       packetizer_(packetizer) {
   WSNQ_CHECK(graph_ != nullptr);
   send_mj_per_bit_ = energy_.SendCostPerBit(graph_->rho());
   WSNQ_CHECK_EQ(graph_->size(), tree_.size());
+  if (labels_.empty()) {
+    labels_.resize(tree_.parent.size());
+    std::iota(labels_.begin(), labels_.end(), 0);
+  }
+  WSNQ_CHECK_EQ(labels_.size(), tree_.parent.size());
+  vertex_of_label_.assign(labels_.size(), -1);
+  for (size_t v = 0; v < labels_.size(); ++v) {
+    vertex_of_label_[static_cast<size_t>(labels_[v])] = static_cast<int>(v);
+  }
   round_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
   total_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
+}
+
+Network Network::InPostOrder(std::shared_ptr<const RadioGraph> graph,
+                             const SpanningTree& tree, EnergyModel energy,
+                             Packetizer packetizer) {
+  WSNQ_CHECK_EQ(tree.post_order.size(), tree.parent.size());
+  std::vector<int> vertex_of_label(tree.parent.size());
+  for (size_t i = 0; i < tree.post_order.size(); ++i) {
+    vertex_of_label[static_cast<size_t>(tree.post_order[i])] =
+        static_cast<int>(i);
+  }
+  return Network(std::move(graph), RelabelTree(tree, vertex_of_label),
+                 tree.post_order, energy, packetizer);
 }
 
 StatusOr<Network> Network::Create(RadioGraph graph, int root,
@@ -41,8 +71,9 @@ void Network::set_transport_policy(std::unique_ptr<TransportPolicy> policy) {
   if (policy_ != nullptr) pristine_tree_ = tree_;
 }
 
-void Network::AdoptTree(SpanningTree tree) {
-  WSNQ_CHECK_EQ(tree.size(), tree_.size());
+void Network::AdoptTree(SpanningTree labelled) {
+  WSNQ_CHECK_EQ(labelled.size(), tree_.size());
+  SpanningTree tree = RelabelTree(labelled, vertex_of_label_);
   WSNQ_CHECK_EQ(tree.root, tree_.root);
   for (int v = 0; v < tree.size(); ++v) {
     const int parent = tree.parent[static_cast<size_t>(v)];
@@ -72,9 +103,10 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   // A crashed node runs no protocol code this round, and a detached one
   // (unreachable after churn without repair to save it) has nobody to talk
   // to: neither transmits, so neither pays.
-  if (policy_->IsDown(v) || parent < 0) return false;
+  if (policy_->IsDown(label(v)) || parent < 0) return false;
 
-  const TransportPolicy::UplinkOutcome o = policy_->Uplink(v, parent);
+  const TransportPolicy::UplinkOutcome o =
+      policy_->Uplink(label(v), label(parent));
   WSNQ_DCHECK_GE(o.data_frames, 1);
   WSNQ_DCHECK_LE(o.data_frames_received, o.data_frames);
   // No ack exists for a data frame the parent never received.
@@ -103,24 +135,24 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   round_packets_ += air_packets;
   total_packets_ += air_packets;
 
-  WSNQ_TRACE_EVENT("net", "uplink", v, {"bits", payload_bits},
+  WSNQ_TRACE_EVENT("net", "uplink", label(v), {"bits", payload_bits},
                    {"packets", msg.packets}, {"lost", o.delivered ? 0 : 1});
   const int dropped = o.data_frames - o.data_frames_received;
   if (dropped > 0) {
-    WSNQ_TRACE_EVENT("fault", "drop", v, {"frames", dropped});
+    WSNQ_TRACE_EVENT("fault", "drop", label(v), {"frames", dropped});
   }
   if (o.data_frames > 1) {
-    WSNQ_TRACE_EVENT("fault", "retx", v, {"count", o.data_frames - 1},
+    WSNQ_TRACE_EVENT("fault", "retx", label(v), {"count", o.data_frames - 1},
                      {"ticks", o.ticks});
   }
   if (o.ack_frames > 0) {
-    WSNQ_TRACE_EVENT("fault", "ack", parent, {"count", o.ack_frames},
+    WSNQ_TRACE_EVENT("fault", "ack", label(parent), {"count", o.ack_frames},
                      {"heard", o.ack_frames_received});
   }
   if (observer_ != nullptr) {
     SendObserver::SendInfo info;
     info.kind = SendObserver::SendKind::kUplink;
-    info.sender = v;
+    info.sender = label(v);
     info.payload_bits = payload_bits;
     info.wire_bits = msg.total_bits;
     info.packets = msg.packets;
@@ -139,12 +171,12 @@ bool Network::reporting() const {
 
 void Network::ReportUplink(int v, int64_t payload_bits,
                            const PacketizedMessage& msg) {
-  WSNQ_TRACE_EVENT("net", "uplink", v, {"bits", payload_bits},
+  WSNQ_TRACE_EVENT("net", "uplink", label(v), {"bits", payload_bits},
                    {"packets", msg.packets}, {"lost", 0});
   if (observer_ != nullptr) {
     SendObserver::SendInfo info;
     info.kind = SendObserver::SendKind::kUplink;
-    info.sender = v;
+    info.sender = label(v);
     info.payload_bits = payload_bits;
     info.wire_bits = msg.total_bits;
     info.packets = msg.packets;
@@ -155,13 +187,14 @@ void Network::ReportUplink(int v, int64_t payload_bits,
 void Network::ReportBroadcast(int v, int64_t payload_bits,
                               const PacketizedMessage& msg) {
   WSNQ_TRACE_EVENT(
-      "net", "broadcast", v, {"bits", payload_bits}, {"packets", msg.packets},
+      "net", "broadcast", label(v), {"bits", payload_bits},
+      {"packets", msg.packets},
       {"children",
        static_cast<int64_t>(tree_.children[static_cast<size_t>(v)].size())});
   if (observer_ != nullptr) {
     SendObserver::SendInfo info;
     info.kind = SendObserver::SendKind::kBroadcast;
-    info.sender = v;
+    info.sender = label(v);
     info.payload_bits = payload_bits;
     info.wire_bits = msg.total_bits;
     info.packets = msg.packets;
@@ -176,11 +209,11 @@ inline void Network::Broadcast(int v, int64_t payload_bits,
                                double send_cost, double recv_cost) {
   const auto& kids = tree_.children[static_cast<size_t>(v)];
   if (kids.empty()) return;
-  if (policy_ != nullptr && policy_->IsDown(v)) return;
+  if (policy_ != nullptr && policy_->IsDown(label(v))) return;
   Debit(v, send_cost);
   for (int child : kids) {
     // Crashed children don't hear (or pay for) the beacon.
-    if (policy_ != nullptr && policy_->IsDown(child)) continue;
+    if (policy_ != nullptr && policy_->IsDown(label(child))) continue;
     Debit(child, recv_cost);
   }
   AddPackets(msg.packets);

@@ -14,6 +14,17 @@
 // message header again. Vertex 0 convention: the root is an ordinary vertex
 // id chosen at construction; use is_root()/root().
 //
+// Two id spaces. A vertex id indexes everything the Network keeps per node
+// (tree arrays, energy) and every per-vertex row a protocol keeps. A label
+// is the node's placement index: its RadioGraph index. Simulated runs use
+// the post-order layout (InPostOrder): vertex v is the v-th vertex of the
+// pristine routing tree's post order, so a convergecast reads every
+// per-vertex array front to back and each subtree is one contiguous id
+// range. Labels are what crosses the boundary: the TransportPolicy (fault
+// keys, crash victims), trace events and SendObserver callbacks see labels,
+// and AdoptTree takes a tree built over the graph's labels. A Network
+// built from a tree directly keeps the identity layout (label == vertex).
+//
 // Faults are pluggable: a TransportPolicy (implemented by fault/FaultPlan)
 // decides delivery, retransmission counts, and node liveness per uplink;
 // without one installed the network is the paper's reliable medium.
@@ -55,7 +66,7 @@ class SendObserver {
   /// reliable medium data_frames == 1 and ack_frames == 0.
   struct SendInfo {
     SendKind kind = SendKind::kUplink;
-    int sender = -1;
+    int sender = -1;  ///< the sender's label
     int64_t payload_bits = 0;
     int64_t wire_bits = 0;  ///< on-air bits of one data frame
     int64_t packets = 0;    ///< fragments of one data frame
@@ -91,6 +102,9 @@ class TransportPolicy {
 
   virtual ~TransportPolicy() = default;
 
+  /// Every vertex argument below is a label (placement index), never a
+  /// Network vertex id.
+  ///
   /// Called once per round before any traffic; may mutate `net` (tree
   /// repair via Network::AdoptTree).
   virtual void OnRoundStart(int64_t round, Network* net) = 0;
@@ -120,6 +134,14 @@ class Network {
   Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
           EnergyModel energy, Packetizer packetizer);
 
+  /// The layout of every simulated run: `tree` (over the graph's labels,
+  /// spanning all of them) is relabelled so that vertex v is
+  /// tree.post_order[v]. Then tree().post_order is 0..n-1 and the root is
+  /// vertex n-1.
+  static Network InPostOrder(std::shared_ptr<const RadioGraph> graph,
+                             const SpanningTree& tree, EnergyModel energy,
+                             Packetizer packetizer);
+
   // Not copyable (accounting identity), movable.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -139,12 +161,23 @@ class Network {
   int root() const { return tree_.root; }
   bool is_root(int v) const { return v == tree_.root; }
   const SpanningTree& tree() const { return tree_; }
+  /// Indexed by label, not by vertex id.
   const RadioGraph& graph() const { return *graph_; }
+
+  /// The label (placement index, RadioGraph index) of vertex `v`.
+  int label(int v) const { return labels_[static_cast<size_t>(v)]; }
+  /// The vertex id of label `label`.
+  int vertex_of(int label) const {
+    return vertex_of_label_[static_cast<size_t>(label)];
+  }
+  /// labels()[v] == label(v).
+  const std::vector<int>& labels() const { return labels_; }
   const Packetizer& packetizer() const { return packetizer_; }
   const EnergyModel& energy_model() const { return energy_; }
 
-  /// Replaces the routing tree (BuildLiveRoutingTree after node churn) and
-  /// bumps the tree epoch. Stateful protocols compare the epoch against
+  /// Replaces the routing tree with `tree`, built over the graph's labels
+  /// (BuildLiveRoutingTree after node churn) and relabelled here into
+  /// vertex ids, and bumps the tree epoch. Stateful protocols compare the epoch against
   /// the one they initialized under and re-validate on mismatch instead of
   /// silently miscounting over a stale topology. ResetAccounting restores
   /// the pristine tree (and epoch 0) for the next protocol's replay.
@@ -297,10 +330,17 @@ class Network {
   int64_t DebitFloodOverCut(const PacketizedMessage& msg, double send_cost,
                             double recv_cost);
 
+  /// `tree` is already in vertex ids; labels[v] is vertex v's label
+  /// (empty: the identity layout).
+  Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
+          std::vector<int> labels, EnergyModel energy, Packetizer packetizer);
+
   void ClearRoundCounters();
 
   /// Immutable; possibly aliased by other Networks (never null).
   std::shared_ptr<const RadioGraph> graph_;
+  std::vector<int> labels_;           ///< vertex id -> label
+  std::vector<int> vertex_of_label_;  ///< label -> vertex id
   SpanningTree tree_;
   EnergyModel energy_;
   Packetizer packetizer_;

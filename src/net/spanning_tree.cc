@@ -164,6 +164,36 @@ SpanningTree BuildLiveRoutingTree(const RadioGraph& graph, int root,
                          selection, seed);
 }
 
+SpanningTree RelabelTree(const SpanningTree& tree,
+                         const std::vector<int>& id_of) {
+  const size_t n = tree.parent.size();
+  WSNQ_CHECK_EQ(id_of.size(), n);
+  const auto rename = [&](int x) {
+    return x < 0 ? x : id_of[static_cast<size_t>(x)];
+  };
+  std::vector<size_t> from(n);
+  for (size_t v = 0; v < n; ++v) from[static_cast<size_t>(id_of[v])] = v;
+  SpanningTree out;
+  out.root = rename(tree.root);
+  out.parent.resize(n);
+  out.depth.resize(n);
+  out.children.resize(n);
+  // In new-id order, so the children lists are allocated in that order too.
+  for (size_t to = 0; to < n; ++to) {
+    const size_t v = from[to];
+    out.parent[to] = rename(tree.parent[v]);
+    out.depth[to] = tree.depth[v];
+    std::vector<int>& kids = out.children[to];
+    kids.reserve(tree.children[v].size());
+    for (int child : tree.children[v]) kids.push_back(rename(child));
+  }
+  out.post_order.reserve(tree.post_order.size());
+  for (int v : tree.post_order) out.post_order.push_back(rename(v));
+  out.pre_order.reserve(tree.pre_order.size());
+  for (int v : tree.pre_order) out.pre_order.push_back(rename(v));
+  return out;
+}
+
 StatusOr<SpanningTree> BuildShortestPathTree(const RadioGraph& graph,
                                              int root) {
   return BuildRoutingTree(graph, root, ParentSelection::kNearest);

@@ -20,7 +20,11 @@ struct SpanningTree {
   int root = 0;
   /// parent[v]; parent[root] == -1.
   std::vector<int> parent;
-  /// children[v], sorted ascending.
+  /// children[v], in ascending placement order (RadioGraph index). That is
+  /// ascending vertex id for a tree built over the graph, and for one laid
+  /// out in its own post order (Network), but not for a repaired tree
+  /// relabelled into that layout. Either way it is the order post_order
+  /// and pre_order visit them.
   std::vector<std::vector<int>> children;
   /// Hop distance from the root.
   std::vector<int> depth;
@@ -34,6 +38,13 @@ struct SpanningTree {
   int size() const { return static_cast<int>(parent.size()); }
   bool IsLeaf(int v) const { return children[static_cast<size_t>(v)].empty(); }
 };
+
+/// `tree` with every vertex id x renamed to `id_of[x]`: parent, depth and
+/// children move to their new slots, and the traversal orders and each
+/// children list keep their sequence. `id_of` must be a permutation of
+/// 0..tree.size()-1.
+SpanningTree RelabelTree(const SpanningTree& tree,
+                         const std::vector<int>& id_of);
 
 /// Builds the shortest-path tree of `graph` rooted at `root`.
 /// Fails if the graph is not connected.

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "net/geometry.h"
+#include "net/spanning_tree.h"
 
 namespace wsnq {
 
@@ -11,14 +12,14 @@ Status WriteTopologyDot(const Network& network, const std::string& path) {
   if (!out.is_open()) {
     return Status::InvalidArgument("cannot open for writing: " + path);
   }
-  const SpanningTree& tree = network.tree();
+  const SpanningTree tree = RelabelTree(network.tree(), network.labels());
   const RadioGraph& graph = network.graph();
   out << "digraph wsnq {\n";
-  out << "  // root = " << network.root() << "\n";
+  out << "  // root = " << tree.root << "\n";
   for (int v = 0; v < network.num_vertices(); ++v) {
     const Point2D& p = graph.point(v);
     out << "  n" << v << " [pos=\"" << p.x << ',' << p.y << "!\""
-        << (network.is_root(v) ? ", shape=doublecircle" : "") << "];\n";
+        << (v == tree.root ? ", shape=doublecircle" : "") << "];\n";
   }
   for (int v = 0; v < network.num_vertices(); ++v) {
     const int parent = tree.parent[static_cast<size_t>(v)];
@@ -47,7 +48,7 @@ Status WriteTreeCsv(const Network& network, const std::string& path) {
     return Status::InvalidArgument("cannot open for writing: " + path);
   }
   out << "child,parent,distance_m,depth\n";
-  const SpanningTree& tree = network.tree();
+  const SpanningTree tree = RelabelTree(network.tree(), network.labels());
   const RadioGraph& graph = network.graph();
   for (int v = 0; v < network.num_vertices(); ++v) {
     const int parent = tree.parent[static_cast<size_t>(v)];

@@ -1,5 +1,6 @@
 // Topology export: Graphviz DOT for visual inspection of the routing tree
-// and a CSV edge list for external analysis.
+// and a CSV edge list for external analysis. Nodes are named by label, the
+// placement index of net/network.h, whatever the Network's layout.
 
 #ifndef WSNQ_NET_TOPOLOGY_IO_H_
 #define WSNQ_NET_TOPOLOGY_IO_H_

@@ -54,8 +54,8 @@ SubtreeCut ComputeSubtreeCut(const SpanningTree& tree, int target_parts) {
     return size[static_cast<size_t>(v)] > kSplitFactor * target &&
            !tree.children[static_cast<size_t>(v)].empty();
   };
-  // (vertex, index of the next child to expand) — children in ascending
-  // order, exactly as FinalizeTree laid out post_order.
+  // (vertex, index of the next child to expand) — children in list order,
+  // exactly as the tree builder laid out post_order.
   std::vector<std::pair<int, size_t>> stack;
   stack.reserve(kMaxSplitDepth + 1);
   stack.emplace_back(tree.root, 0);

@@ -56,9 +56,11 @@ TEST(ScenarioTest, MultiValueNodesExpandThePopulation) {
   EXPECT_EQ(scenario.value().network->num_sensors(), 40 * 3);
   EXPECT_EQ(scenario.value().k, 60);
   // Replicas are colocated: for every vertex there are exactly
-  // values_per_node vertices sharing its position (except the root).
-  const auto& graph = scenario.value().network->graph();
-  const int root = scenario.value().network->root();
+  // values_per_node vertices sharing its position (except the root). The
+  // radio graph is indexed by label.
+  const Network& net = *scenario.value().network;
+  const auto& graph = net.graph();
+  const int root = net.label(net.root());
   for (int v = 0; v < graph.size(); ++v) {
     if (v == root) continue;
     int colocated = 0;

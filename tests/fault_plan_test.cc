@@ -465,16 +465,18 @@ TEST(TreeRepairTest, RecoveredChurnRunHoldsItsConfiguredTree) {
     StatusOr<Scenario> scenario = BuildScenario(config, run);
     ASSERT_TRUE(scenario.ok());
     Network& net = *scenario.value().network;
+    // Built over the graph, so by label; compared in the same id space.
     const StatusOr<SpanningTree> configured =
-        BuildRoutingTree(net.graph(), net.root(), selection,
+        BuildRoutingTree(net.graph(), net.label(net.root()), selection,
                          RoutingTreeSalt(config, run));
     ASSERT_TRUE(configured.ok());
     for (int round = 0; round <= 5; ++round) net.BeginRound();
     EXPECT_EQ(net.tree_epoch(), 2);  // repaired at the crash and recovery
-    EXPECT_EQ(net.tree().parent, configured.value().parent);
-    EXPECT_EQ(net.tree().children, configured.value().children);
-    EXPECT_EQ(net.tree().pre_order, configured.value().pre_order);
-    EXPECT_EQ(net.tree().post_order, configured.value().post_order);
+    const SpanningTree held = RelabelTree(net.tree(), net.labels());
+    EXPECT_EQ(held.parent, configured.value().parent);
+    EXPECT_EQ(held.children, configured.value().children);
+    EXPECT_EQ(held.pre_order, configured.value().pre_order);
+    EXPECT_EQ(held.post_order, configured.value().post_order);
   }
 }
 

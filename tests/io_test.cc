@@ -67,6 +67,47 @@ TEST(TraceIoTest, RejectsRaggedRows) {
   EXPECT_FALSE(ReadTraceCsv(path).ok());
 }
 
+/// Writes a two-sensor trace whose header declares [0, 100] and whose
+/// second data row is `row`, and reads it back.
+StatusOr<InMemoryValueSource> ReadWithRow(const std::string& name,
+                                          const std::string& row) {
+  const std::string path = TempPath(name);
+  std::ofstream(path) << "# wsnq-trace range_min=0 range_max=100\n"
+                      << "round,s0,s1\n0,1,2\n" << row << "\n";
+  return ReadTraceCsv(path);
+}
+
+TEST(TraceIoTest, RejectsCellOutsideHeaderRange) {
+  // A value below range_min used to be accepted and then abort POS.
+  for (const char* row : {"1,-1,2", "1,1,101"}) {
+    const auto result = ReadWithRow("out_of_range.csv", row);
+    ASSERT_FALSE(result.ok()) << row;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << row;
+  }
+  EXPECT_TRUE(ReadWithRow("in_range.csv", "1,0,100").ok());
+}
+
+TEST(TraceIoTest, RejectsPartiallyParsedCell) {
+  const auto result = ReadWithRow("partial.csv", "1,12abc,2");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TraceIoTest, RejectsOverflowingCell) {
+  const auto result = ReadWithRow("overflow.csv", "1,99999999999999999999,2");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TraceIoTest, RejectsInvertedHeaderRange) {
+  const std::string path = TempPath("inverted.csv");
+  std::ofstream(path) << "# wsnq-trace range_min=10 range_max=0\n"
+                      << "round,s0\n0,5\n";
+  const auto result = ReadTraceCsv(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TraceIoTest, InMemorySourceBounds) {
   InMemoryValueSource source({{1, 2, 3}, {4, 5, 6}}, 0, 10);
   EXPECT_EQ(source.num_sensors(), 3);

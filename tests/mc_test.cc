@@ -105,6 +105,57 @@ TEST(ReproJsonTest, RejectsUnknownKeysAndMalformedInput) {
   EXPECT_FALSE(ReproFromJson("{\"algo\": \"NOT_AN_ALGO\"}").ok());
 }
 
+/// A repro the parser must refuse with InvalidArgument. Should it be
+/// accepted, the replay runs: that is what used to abort the process.
+void ExpectReproRejected(const std::string& json) {
+  StatusOr<McRepro> repro = ReproFromJson(json);
+  if (repro.ok()) {
+    (void)ReplayRepro(repro.value());
+    FAIL() << "accepted " << json;
+  }
+  EXPECT_EQ(repro.status().code(), StatusCode::kInvalidArgument)
+      << repro.status().ToString();
+}
+
+TEST(ReproJsonTest, RejectsNegativeNodes) {
+  ExpectReproRejected("{\"nodes\": -3}");
+}
+
+TEST(ReproJsonTest, RejectsNodesBeyondIntRange) {
+  ExpectReproRejected("{\"nodes\": 1e30}");
+}
+
+TEST(ReproJsonTest, RejectsNegativeRounds) {
+  ExpectReproRejected("{\"rounds\": -5}");
+}
+
+TEST(ReproJsonTest, RejectsCrashVictimOutsideTheDeployment) {
+  ExpectReproRejected(
+      "{\"nodes\": 8, \"crash_victim\": 99, \"crash_round\": 1, "
+      "\"crash_len\": 1}");
+}
+
+TEST(ReproJsonTest, RejectsNonPositiveRadio) {
+  ExpectReproRejected("{\"radio\": -1}");
+}
+
+TEST(ReproJsonTest, ReplayRejectsTheRootAsCrashVictim) {
+  McOptions options = TinyOptions();
+  StatusOr<McContext> context = BuildMcContext(options);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const Network& net = *context.value().scenario.network;
+  McRepro repro;
+  repro.options = options;
+  repro.schedule.crash.victim = net.label(net.root());
+  repro.schedule.crash.crash_round = 1;
+  repro.schedule.crash.crash_len = 1;
+  StatusOr<McRepro> parsed = ReproFromJson(ReproToJson(repro));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const StatusOr<ScheduleResult> replay = ReplayRepro(parsed.value());
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EnumerateCrashSpecsTest, CountsVictimsRoundsAndLens) {
   McOptions options = TinyOptions();
   EXPECT_TRUE(EnumerateCrashSpecs(options, 6, 0).empty());  // C = 0
