@@ -61,7 +61,8 @@ StatusOr<Epoch> BuildEpoch(const Scenario& base, const SimulationConfig& config,
       BuildRoutingTree(*graph, epoch_root, config.tree_strategy, config.seed);
   if (!tree.ok()) return tree.status();
   epoch.network = std::make_unique<Network>(Network::InPostOrder(
-      std::move(graph), tree.value(), config.energy, config.packetizer));
+      std::move(graph), std::make_shared<const PostOrderLayout>(tree.value()),
+      config.energy, config.packetizer));
   for (int v = 0; v < epoch.network->num_vertices(); ++v) {
     epoch.original_of.push_back(
         survivors[static_cast<size_t>(epoch.network->label(v))]);

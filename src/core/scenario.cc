@@ -111,8 +111,9 @@ Artifact<T> GetOrBuild(internal::ArtifactStore* store, const std::string& key,
 }
 
 /// Run `run`'s routing-tree template rooted at `root` over the deployment
-/// `graph`, shared under a key that extends `deploy_key`.
-Artifact<SpanningTree> RoutingTemplate(internal::ArtifactStore* store,
+/// `graph`, laid out in post order and shared under a key that extends
+/// `deploy_key`.
+Artifact<PostOrderLayout> RoutingTemplate(internal::ArtifactStore* store,
                                        const std::string& deploy_key,
                                        const RadioGraph& graph, int root,
                                        const SimulationConfig& config,
@@ -120,12 +121,13 @@ Artifact<SpanningTree> RoutingTemplate(internal::ArtifactStore* store,
   const uint64_t salt = RoutingTreeSalt(config, run);
   const std::string key =
       internal::RoutingTreeKey(deploy_key, root, config.tree_strategy, salt);
-  return GetOrBuild<SpanningTree>(store, key, [&]() -> Artifact<SpanningTree> {
-    StatusOr<SpanningTree> routing =
-        BuildRoutingTree(graph, root, config.tree_strategy, salt);
-    if (!routing.ok()) return routing.status();
-    return std::make_shared<const SpanningTree>(std::move(routing).value());
-  });
+  return GetOrBuild<PostOrderLayout>(
+      store, key, [&]() -> Artifact<PostOrderLayout> {
+        StatusOr<SpanningTree> routing =
+            BuildRoutingTree(graph, root, config.tree_strategy, salt);
+        if (!routing.ok()) return routing.status();
+        return std::make_shared<const PostOrderLayout>(routing.value());
+      });
 }
 
 /// sensor_of_vertex of `net`: `sensor_of_label(label(v))` for every sensor
@@ -198,7 +200,7 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
   const std::shared_ptr<const internal::SyntheticDeployment> deploy =
       std::move(deployed).value();
 
-  Artifact<SpanningTree> tree = RoutingTemplate(
+  Artifact<PostOrderLayout> tree = RoutingTemplate(
       store, deploy_key, *deploy->graph, deploy->root, config, run);
   if (!tree.ok()) return tree.status();
 
@@ -214,12 +216,12 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
                                  build_trace)
           .value();
 
-  // Per-run assembly: the Network gets its own copy of the tree template,
-  // laid out in post order (fault repair mutates it), while aliasing the
-  // immutable radio graph.
+  // Per-run assembly: the Network aliases the immutable radio graph and the
+  // laid-out tree template (fault repair swaps in a tree of its own).
   Scenario scenario;
   scenario.network = std::make_unique<Network>(Network::InPostOrder(
-      deploy->graph, *tree.value(), config.energy, config.packetizer));
+      deploy->graph, std::move(tree).value(), config.energy,
+      config.packetizer));
   // Sensors are numbered in placement order, skipping the root.
   scenario.sensor_of_vertex = SensorsByVertex(
       *scenario.network, [&](int label) {
@@ -296,13 +298,13 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
   const int root = static_cast<int>(
       rng.UniformInt(0, static_cast<int64_t>(graph->size()) - 1));
 
-  Artifact<SpanningTree> tree =
+  Artifact<PostOrderLayout> tree =
       RoutingTemplate(store, deploy_key, *graph, root, config, run);
   if (!tree.ok()) return tree.status();
 
   Scenario scenario;
   scenario.network = std::make_unique<Network>(Network::InPostOrder(
-      graph, *tree.value(), config.energy, config.packetizer));
+      graph, std::move(tree).value(), config.energy, config.packetizer));
   // Station index = label.
   scenario.sensor_of_vertex =
       SensorsByVertex(*scenario.network, [](int label) { return label; });

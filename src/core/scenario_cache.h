@@ -19,7 +19,8 @@
 //                                              prefix of the two below)
 //   <pt>|sb                                    pressure trace + scaler
 //   <pt>|deploy|w|h|rho                        SOM placement radio graph
-//   <deploy>|tree|root|strat|salt              routing-tree template
+//   <deploy>|tree|root|strat|salt              routing-tree template, laid
+//                                              out in post order
 //
 // Concurrency contract (docs/hardening.md, "Concurrency & determinism"):
 // every artifact is a pure function of its key, so the cache builds each

@@ -11,51 +11,73 @@
 
 namespace wsnq {
 
+namespace {
+
+/// 0..n-1.
+std::shared_ptr<const std::vector<int>> Identity(size_t n) {
+  auto ids = std::make_shared<std::vector<int>>(n);
+  std::iota(ids->begin(), ids->end(), 0);
+  return ids;
+}
+
+}  // namespace
+
 Network::Network(RadioGraph graph, SpanningTree tree, EnergyModel energy,
                  Packetizer packetizer)
     : Network(std::make_shared<const RadioGraph>(std::move(graph)),
               std::move(tree), energy, packetizer) {}
 
-Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
-                 EnergyModel energy, Packetizer packetizer)
-    : Network(std::move(graph), std::move(tree), std::vector<int>{}, energy,
-              packetizer) {}
+PostOrderLayout::PostOrderLayout(const SpanningTree& labelled)
+    : labels(labelled.post_order) {
+  WSNQ_CHECK_EQ(labels.size(), labelled.parent.size());
+  vertex_of_label.assign(labels.size(), -1);
+  for (size_t v = 0; v < labels.size(); ++v) {
+    vertex_of_label[static_cast<size_t>(labels[v])] = static_cast<int>(v);
+  }
+  tree = RelabelTree(labelled, vertex_of_label);
+}
 
 Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
-                 std::vector<int> labels, EnergyModel energy,
-                 Packetizer packetizer)
+                 EnergyModel energy, Packetizer packetizer)
+    : Network(std::move(graph),
+              std::make_shared<const SpanningTree>(std::move(tree)),
+              nullptr, nullptr, energy, packetizer) {}
+
+Network::Network(std::shared_ptr<const RadioGraph> graph,
+                 std::shared_ptr<const SpanningTree> tree,
+                 std::shared_ptr<const std::vector<int>> labels,
+                 std::shared_ptr<const std::vector<int>> vertex_of_label,
+                 EnergyModel energy, Packetizer packetizer)
     : graph_(std::move(graph)),
       labels_(std::move(labels)),
+      vertex_of_label_(std::move(vertex_of_label)),
       tree_(std::move(tree)),
       energy_(energy),
       packetizer_(packetizer) {
   WSNQ_CHECK(graph_ != nullptr);
   send_mj_per_bit_ = energy_.SendCostPerBit(graph_->rho());
-  WSNQ_CHECK_EQ(graph_->size(), tree_.size());
-  if (labels_.empty()) {
-    labels_.resize(tree_.parent.size());
-    std::iota(labels_.begin(), labels_.end(), 0);
+  WSNQ_CHECK_EQ(graph_->size(), tree_->size());
+  if (labels_ == nullptr) {  // the identity layout, its own inverse
+    labels_ = Identity(tree_->parent.size());
+    vertex_of_label_ = labels_;
   }
-  WSNQ_CHECK_EQ(labels_.size(), tree_.parent.size());
-  vertex_of_label_.assign(labels_.size(), -1);
-  for (size_t v = 0; v < labels_.size(); ++v) {
-    vertex_of_label_[static_cast<size_t>(labels_[v])] = static_cast<int>(v);
-  }
+  WSNQ_CHECK_EQ(labels_->size(), tree_->parent.size());
+  WSNQ_CHECK_EQ(vertex_of_label_->size(), tree_->parent.size());
   round_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
   total_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
 }
 
 Network Network::InPostOrder(std::shared_ptr<const RadioGraph> graph,
-                             const SpanningTree& tree, EnergyModel energy,
-                             Packetizer packetizer) {
-  WSNQ_CHECK_EQ(tree.post_order.size(), tree.parent.size());
-  std::vector<int> vertex_of_label(tree.parent.size());
-  for (size_t i = 0; i < tree.post_order.size(); ++i) {
-    vertex_of_label[static_cast<size_t>(tree.post_order[i])] =
-        static_cast<int>(i);
-  }
-  return Network(std::move(graph), RelabelTree(tree, vertex_of_label),
-                 tree.post_order, energy, packetizer);
+                             std::shared_ptr<const PostOrderLayout> layout,
+                             EnergyModel energy, Packetizer packetizer) {
+  WSNQ_CHECK(layout != nullptr);
+  // Aliasing pointers: each shares ownership of the whole layout.
+  std::shared_ptr<const SpanningTree> tree(layout, &layout->tree);
+  std::shared_ptr<const std::vector<int>> labels(layout, &layout->labels);
+  std::shared_ptr<const std::vector<int>> vertex_of_label(
+      layout, &layout->vertex_of_label);
+  return Network(std::move(graph), std::move(tree), std::move(labels),
+                 std::move(vertex_of_label), energy, packetizer);
 }
 
 StatusOr<Network> Network::Create(RadioGraph graph, int root,
@@ -72,9 +94,9 @@ void Network::set_transport_policy(std::unique_ptr<TransportPolicy> policy) {
 }
 
 void Network::AdoptTree(SpanningTree labelled) {
-  WSNQ_CHECK_EQ(labelled.size(), tree_.size());
-  SpanningTree tree = RelabelTree(labelled, vertex_of_label_);
-  WSNQ_CHECK_EQ(tree.root, tree_.root);
+  WSNQ_CHECK_EQ(labelled.size(), tree_->size());
+  SpanningTree tree = RelabelTree(labelled, *vertex_of_label_);
+  WSNQ_CHECK_EQ(tree.root, tree_->root);
   for (int v = 0; v < tree.size(); ++v) {
     const int parent = tree.parent[static_cast<size_t>(v)];
     if (parent < 0) continue;  // the root, or a detached vertex
@@ -82,13 +104,13 @@ void Network::AdoptTree(SpanningTree labelled) {
     WSNQ_DCHECK_EQ(tree.depth[static_cast<size_t>(parent)],
                    tree.depth[static_cast<size_t>(v)] - 1);
   }
-  tree_ = std::move(tree);
+  tree_ = std::make_shared<const SpanningTree>(std::move(tree));
   ++tree_epoch_;
 }
 
 bool Network::SendToParent(int v, int64_t payload_bits) {
   if (is_root(v)) return true;
-  const int parent = tree_.parent[static_cast<size_t>(v)];
+  const int parent = tree_->parent[static_cast<size_t>(v)];
   const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
 
   if (policy_ == nullptr) {
@@ -190,7 +212,7 @@ void Network::ReportBroadcast(int v, int64_t payload_bits,
       "net", "broadcast", label(v), {"bits", payload_bits},
       {"packets", msg.packets},
       {"children",
-       static_cast<int64_t>(tree_.children[static_cast<size_t>(v)].size())});
+       static_cast<int64_t>(tree_->children[static_cast<size_t>(v)].size())});
   if (observer_ != nullptr) {
     SendObserver::SendInfo info;
     info.kind = SendObserver::SendKind::kBroadcast;
@@ -207,7 +229,7 @@ void Network::ReportBroadcast(int v, int64_t payload_bits,
 inline void Network::Broadcast(int v, int64_t payload_bits,
                                const PacketizedMessage& msg,
                                double send_cost, double recv_cost) {
-  const auto& kids = tree_.children[static_cast<size_t>(v)];
+  const auto& kids = tree_->children[static_cast<size_t>(v)];
   if (kids.empty()) return;
   if (policy_ != nullptr && policy_->IsDown(label(v))) return;
   Debit(v, send_cost);
@@ -239,15 +261,15 @@ void Network::FloodFromRoot(int64_t payload_bits) {
       static_cast<double>(msg.total_bits) * send_mj_per_bit_;
   const double recv_cost = energy_.RecvCost(msg.total_bits);
   if (wave_executor_ == nullptr || policy_ != nullptr) {
-    for (int v : tree_.pre_order) {
+    for (int v : tree_->pre_order) {
       Broadcast(v, payload_bits, msg, send_cost, recv_cost);
     }
     return;
   }
   AddPackets(DebitFloodOverCut(msg, send_cost, recv_cost));
   if (!reporting()) return;
-  for (int v : tree_.pre_order) {
-    if (!tree_.children[static_cast<size_t>(v)].empty()) {
+  for (int v : tree_->pre_order) {
+    if (!tree_->children[static_cast<size_t>(v)].empty()) {
       ReportBroadcast(v, payload_bits, msg);
     }
   }
@@ -276,7 +298,7 @@ int64_t Network::DebitFloodOverCut(const PacketizedMessage& msg,
         const SubtreeCut::Part& part = cut.parts[static_cast<size_t>(p)];
         int64_t part_packets = 0;
         for (size_t i = part.end; i-- > part.begin;) {
-          if (DebitBroadcast(tree_.post_order[i], send_cost, recv_cost)) {
+          if (DebitBroadcast(tree_->post_order[i], send_cost, recv_cost)) {
             part_packets += msg.packets;
           }
         }

@@ -24,6 +24,10 @@
 // keys, crash victims), trace events and SendObserver callbacks see labels,
 // and AdoptTree takes a tree built over the graph's labels. A Network
 // built from a tree directly keeps the identity layout (label == vertex).
+// The laid-out tree and both label maps live in one immutable
+// PostOrderLayout that every run over the same routing template shares; a
+// post-order Network points into it instead of copying, and a repair swaps
+// in a tree of its own.
 //
 // Faults are pluggable: a TransportPolicy (implemented by fault/FaultPlan)
 // decides delivery, retransmission counts, and node liveness per uplink;
@@ -122,6 +126,19 @@ class TransportPolicy {
   virtual UplinkOutcome Uplink(int src, int dst) = 0;
 };
 
+/// A routing tree laid out in its own post order, with the maps between
+/// vertex ids and labels: what Network::InPostOrder builds a run from.
+/// Immutable once built, so one copy serves every Network laid out over the
+/// same tree; the scenario cache keeps it as the routing-tree template.
+struct PostOrderLayout {
+  /// Lays out `labelled`, a tree over a graph's labels spanning all of them.
+  explicit PostOrderLayout(const SpanningTree& labelled);
+
+  SpanningTree tree;                 ///< in vertex ids: post_order is 0..n-1
+  std::vector<int> labels;           ///< vertex id -> label
+  std::vector<int> vertex_of_label;  ///< label -> vertex id
+};
+
 /// Topology + accounting context shared by all protocols in one run.
 class Network {
  public:
@@ -134,13 +151,12 @@ class Network {
   Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
           EnergyModel energy, Packetizer packetizer);
 
-  /// The layout of every simulated run: `tree` (over the graph's labels,
-  /// spanning all of them) is relabelled so that vertex v is
-  /// tree.post_order[v]. Then tree().post_order is 0..n-1 and the root is
-  /// vertex n-1.
+  /// The layout of every simulated run: vertex v is the v-th vertex of the
+  /// labelled tree's post order, so tree().post_order is 0..n-1 and the
+  /// root is vertex n-1. Aliases `layout`'s tree and label maps.
   static Network InPostOrder(std::shared_ptr<const RadioGraph> graph,
-                             const SpanningTree& tree, EnergyModel energy,
-                             Packetizer packetizer);
+                             std::shared_ptr<const PostOrderLayout> layout,
+                             EnergyModel energy, Packetizer packetizer);
 
   // Not copyable (accounting identity), movable.
   Network(const Network&) = delete;
@@ -158,27 +174,29 @@ class Network {
   int num_vertices() const { return graph_->size(); }
   /// |N|: measurement-taking nodes (everything but the root).
   int num_sensors() const { return graph_->size() - 1; }
-  int root() const { return tree_.root; }
-  bool is_root(int v) const { return v == tree_.root; }
-  const SpanningTree& tree() const { return tree_; }
+  int root() const { return tree_->root; }
+  bool is_root(int v) const { return v == tree_->root; }
+  /// Valid until the next AdoptTree or ResetAccounting, which may replace
+  /// the tree.
+  const SpanningTree& tree() const { return *tree_; }
   /// Indexed by label, not by vertex id.
   const RadioGraph& graph() const { return *graph_; }
 
   /// The label (placement index, RadioGraph index) of vertex `v`.
-  int label(int v) const { return labels_[static_cast<size_t>(v)]; }
+  int label(int v) const { return (*labels_)[static_cast<size_t>(v)]; }
   /// The vertex id of label `label`.
   int vertex_of(int label) const {
-    return vertex_of_label_[static_cast<size_t>(label)];
+    return (*vertex_of_label_)[static_cast<size_t>(label)];
   }
   /// labels()[v] == label(v).
-  const std::vector<int>& labels() const { return labels_; }
+  const std::vector<int>& labels() const { return *labels_; }
   const Packetizer& packetizer() const { return packetizer_; }
   const EnergyModel& energy_model() const { return energy_; }
 
   /// Replaces the routing tree with `tree`, built over the graph's labels
   /// (BuildLiveRoutingTree after node churn) and relabelled here into
-  /// vertex ids, and bumps the tree epoch. Stateful protocols compare the epoch against
-  /// the one they initialized under and re-validate on mismatch instead of
+  /// vertex ids, and bumps the tree epoch. Stateful protocols compare the
+  /// epoch against the one they initialized under and re-validate on mismatch instead of
   /// silently miscounting over a stale topology. ResetAccounting restores
   /// the pristine tree (and epoch 0) for the next protocol's replay.
   void AdoptTree(SpanningTree tree);
@@ -245,7 +263,7 @@ class Network {
   /// `v`, `recv_cost` to each child. Returns false (and debits nothing)
   /// for a leaf, which does not transmit.
   bool DebitBroadcast(int v, double send_cost, double recv_cost) {
-    const auto& kids = tree_.children[static_cast<size_t>(v)];
+    const auto& kids = tree_->children[static_cast<size_t>(v)];
     if (kids.empty()) return false;
     Debit(v, send_cost);
     for (int child : kids) Debit(child, recv_cost);
@@ -330,18 +348,24 @@ class Network {
   int64_t DebitFloodOverCut(const PacketizedMessage& msg, double send_cost,
                             double recv_cost);
 
-  /// `tree` is already in vertex ids; labels[v] is vertex v's label
-  /// (empty: the identity layout).
-  Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
-          std::vector<int> labels, EnergyModel energy, Packetizer packetizer);
+  /// `tree` is already in vertex ids; (*labels)[v] is vertex v's label
+  /// and `vertex_of_label` its inverse (both null: the identity layout).
+  Network(std::shared_ptr<const RadioGraph> graph,
+          std::shared_ptr<const SpanningTree> tree,
+          std::shared_ptr<const std::vector<int>> labels,
+          std::shared_ptr<const std::vector<int>> vertex_of_label,
+          EnergyModel energy, Packetizer packetizer);
 
   void ClearRoundCounters();
 
   /// Immutable; possibly aliased by other Networks (never null).
   std::shared_ptr<const RadioGraph> graph_;
-  std::vector<int> labels_;           ///< vertex id -> label
-  std::vector<int> vertex_of_label_;  ///< label -> vertex id
-  SpanningTree tree_;
+  /// Immutable and possibly aliased, like graph_: a post-order Network
+  /// points into its PostOrderLayout.
+  std::shared_ptr<const std::vector<int>> labels_;           ///< id -> label
+  std::shared_ptr<const std::vector<int>> vertex_of_label_;  ///< label -> id
+  std::shared_ptr<const SpanningTree> tree_;  ///< immutable; AdoptTree swaps
+
   EnergyModel energy_;
   Packetizer packetizer_;
   /// energy_.SendCostPerBit(rho), evaluated once: every send costs
@@ -349,7 +373,8 @@ class Network {
   double send_mj_per_bit_;
 
   std::unique_ptr<TransportPolicy> policy_;
-  SpanningTree pristine_tree_;  ///< snapshot for ResetAccounting (policy only)
+  /// The tree ResetAccounting restores (policy only).
+  std::shared_ptr<const SpanningTree> pristine_tree_;
   int64_t tree_epoch_ = 0;
   int64_t current_round_ = -1;  ///< BeginRound pre-increments: first round is 0
 

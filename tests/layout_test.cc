@@ -58,8 +58,10 @@ Network IdentityLayout(const Deployment& d) {
   return Network(d.graph, d.tree, EnergyModel{}, Packetizer{});
 }
 
-Network PostOrderLayout(const Deployment& d) {
-  return Network::InPostOrder(d.graph, d.tree, EnergyModel{}, Packetizer{});
+Network InPostOrder(const Deployment& d) {
+  return Network::InPostOrder(d.graph,
+                              std::make_shared<const PostOrderLayout>(d.tree),
+                              EnergyModel{}, Packetizer{});
 }
 
 /// Measurement of label `label` in round `round`.
@@ -176,7 +178,7 @@ void ExpectSameReplay(const Replay& got, const Replay& want) {
 
 TEST(VertexLayoutTest, PostOrderLayoutNumbersVerticesByPostOrder) {
   const Deployment d = MakeDeployment();
-  const Network net = PostOrderLayout(d);
+  const Network net = InPostOrder(d);
   std::vector<int> iota(static_cast<size_t>(kVertices));
   std::iota(iota.begin(), iota.end(), 0);
   EXPECT_EQ(net.tree().post_order, iota);
@@ -207,12 +209,12 @@ TEST(VertexLayoutTest, ObserverTraceAndEnergySeeLabelsOnReliableMedium) {
   const Replay want = RunIq(&identity);
   ASSERT_FALSE(want.sends.empty());
 
-  Network serial = PostOrderLayout(d);
+  Network serial = InPostOrder(d);
   ExpectSameReplay(RunIq(&serial), want);
 
   // The subtree-parallel engine: parts are contiguous vertex ranges now,
   // and the fold still reports every send by label.
-  Network parallel = PostOrderLayout(d);
+  Network parallel = InPostOrder(d);
   WaveExecutor executor(/*threads=*/2, /*target_parts=*/5);
   parallel.set_wave_executor(&executor);
   ExpectSameReplay(RunIq(&parallel), want);
@@ -239,7 +241,7 @@ TEST(VertexLayoutTest, TransportPolicySeesLabels) {
   const Replay want = RunIq(&identity);
 
   std::vector<std::string> log;
-  Network net = PostOrderLayout(d);
+  Network net = InPostOrder(d);
   auto owned = std::make_unique<RecordingPolicy>(down, &log);
   RecordingPolicy* policy = owned.get();
   net.set_transport_policy(std::move(owned));
@@ -273,7 +275,12 @@ TEST(VertexLayoutTest, FaultPlanRepairAdoptsTreesBuiltOverLabels) {
   EXPECT_NE(want.trace.find("repair"), std::string::npos);
   EXPECT_GT(identity.tree_epoch(), 0);
 
-  Network net = PostOrderLayout(d);
+  // Two runs share one layout; only the faulted one repairs.
+  const auto layout = std::make_shared<const PostOrderLayout>(d.tree);
+  Network net = Network::InPostOrder(d.graph, layout, EnergyModel{},
+                                     Packetizer{});
+  const Network bystander = Network::InPostOrder(d.graph, layout,
+                                                 EnergyModel{}, Packetizer{});
   install(&net);
   ExpectSameReplay(RunIq(&net), want);
   // Mid-churn or recovered, the adopted tree maps back to the same tree.
@@ -282,12 +289,19 @@ TEST(VertexLayoutTest, FaultPlanRepairAdoptsTreesBuiltOverLabels) {
   EXPECT_EQ(held.parent, identity.tree().parent);
   EXPECT_EQ(held.children, identity.tree().children);
   EXPECT_EQ(held.post_order, identity.tree().post_order);
+  // The repair replaced the faulted run's tree, never the shared one.
+  EXPECT_NE(&net.tree(), &layout->tree);
+  EXPECT_EQ(&bystander.tree(), &layout->tree);
+  EXPECT_EQ(layout->tree.parent, PostOrderLayout(d.tree).tree.parent);
+  net.ResetAccounting();
+  EXPECT_EQ(net.tree_epoch(), 0);
+  EXPECT_EQ(&net.tree(), &layout->tree);
 }
 
 TEST(VertexLayoutTest, TopologyExportNamesNodesByLabel) {
   const Deployment d = MakeDeployment();
   const Network identity = IdentityLayout(d);
-  const Network net = PostOrderLayout(d);
+  const Network net = InPostOrder(d);
   const auto read = [](const std::string& path) {
     std::ifstream in(path);
     return std::string(std::istreambuf_iterator<char>(in), {});
