@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "algo/registry.h"
+#include "util/status.h"
 
 namespace wsnq {
 
@@ -94,6 +95,25 @@ struct McOptions {
   /// reports are bit-identical for every value.
   int threads = 0;
 };
+
+/// Upper bounds of McOptions (ValidateMcOptions): the documented node
+/// bound, and round and retransmission caps that keep one schedule's
+/// memory and time small.
+inline constexpr int kMcMaxNodes = 12;
+inline constexpr int kMcMaxRounds = 10000;
+inline constexpr int kMcMaxRetx = 1000;
+/// A repro stores numbers as JSON doubles, which hold every whole number
+/// up to 2^53 exactly: the largest seed that reads back.
+inline constexpr uint64_t kMcMaxSeed = uint64_t{1} << 53;
+
+/// OK when every bound and scenario knob of `options` is in range: nodes
+/// in [2, kMcMaxNodes], rounds in [1, kMcMaxRounds], seed <= kMcMaxSeed,
+/// radio and period positive and finite, phi in [0, 1], noise in [0, 100],
+/// max_retx in [0, kMcMaxRetx], max_drops and crash_max_drops >= 0,
+/// max_crashes in {0, 1}, every crash length in [0, kMcMaxRounds]. The one
+/// range check that wsnq_mc's flags and a repro file (ReproFromJson) both
+/// pass, so every repro the tool writes reads back.
+Status ValidateMcOptions(const McOptions& options);
 
 /// One invariant violation, bound to the schedule that produced it.
 struct McViolation {

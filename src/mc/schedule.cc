@@ -87,11 +87,8 @@ std::string DoubleLiteral(double v) {
 
 /// The largest whole number a double holds exactly (2^53).
 constexpr double kMaxWhole = 9007199254740992.0;
-/// Replay bounds: the model checker's documented node bound, and round and
-/// retransmission caps that keep a replay's memory and time small.
-constexpr double kMaxReplayNodes = 12;
-constexpr double kMaxReplayRounds = 10000;
-constexpr double kMaxReplayRetx = 1000;
+constexpr double kIntMin = std::numeric_limits<int>::min();
+constexpr double kIntMax = std::numeric_limits<int>::max();
 
 /// Minimal parser for the flat repro objects ReproToJson emits: one level
 /// of "key": value pairs where a value is a string, a number, a bool, or
@@ -300,6 +297,52 @@ Status ReadReal(const FlatJsonParser& parser, const char* key, double lo,
 
 }  // namespace
 
+Status ValidateMcOptions(const McOptions& options) {
+  const auto whole = [](const char* name, int64_t v, int64_t lo,
+                        int64_t hi) -> Status {
+    if (v >= lo && v <= hi) return Status::Ok();
+    return Status::InvalidArgument(
+        std::string(name) + " must be in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "], got " + std::to_string(v));
+  };
+  const auto positive = [](const char* name, double v) -> Status {
+    if (std::isfinite(v) && v > 0.0) return Status::Ok();
+    return Status::InvalidArgument(std::string(name) +
+                                   " must be positive and finite, got " +
+                                   DoubleLiteral(v));
+  };
+  const auto within = [](const char* name, double v, double lo,
+                         double hi) -> Status {
+    if (v >= lo && v <= hi) return Status::Ok();
+    return Status::InvalidArgument(
+        std::string(name) + " must be in [" + DoubleLiteral(lo) + ", " +
+        DoubleLiteral(hi) + "], got " + DoubleLiteral(v));
+  };
+  for (const Status& field : {
+           whole("nodes", options.nodes, 2, kMcMaxNodes),
+           whole("rounds", options.rounds, 1, kMcMaxRounds),
+           positive("radio", options.radio_range),
+           within("phi", options.phi, 0.0, 1.0),
+           positive("period", options.period_rounds),
+           within("noise", options.noise_percent, 0.0, 100.0),
+           whole("max-retx", options.max_retx, 0, kMcMaxRetx),
+           whole("max-drops", options.max_drops, 0, kIntMax),
+           whole("max-crashes", options.max_crashes, 0, 1),
+           whole("crash-max-drops", options.crash_max_drops, 0, kIntMax),
+       }) {
+    if (!field.ok()) return field;
+  }
+  if (options.seed > kMcMaxSeed) {
+    return Status::InvalidArgument("seed must be at most 2^53, got " +
+                                   std::to_string(options.seed));
+  }
+  for (const int64_t len : options.crash_lens) {
+    Status in_range = whole("crash length", len, 0, kMcMaxRounds);
+    if (!in_range.ok()) return in_range;
+  }
+  return Status::Ok();
+}
+
 std::string ReproToJson(const McRepro& repro) {
   std::string out = "{\n";
   out += "  \"invariant\": \"" + JsonEscape(repro.invariant) + "\",\n";
@@ -364,31 +407,36 @@ StatusOr<McRepro> ReproFromJson(const std::string& json) {
     if (!kind.ok()) return kind.status();
     repro.algo = kind.value();
   }
-  // Every field is range-checked before its cast, against what the runner
-  // needs: the model checker's node bound, a bounded value matrix, a
-  // connected-graph radius, and a crash victim that exists.
+  // Every field is range-checked before its cast: each whole number must
+  // fit its field's type, and then the options must pass the checker's own
+  // range check, the one wsnq_mc's flags pass too.
   McOptions& options = repro.options;
   McCrashSpec& crash = repro.schedule.crash;
+  const double max_real = std::numeric_limits<double>::max();
   for (const Status& field : {
-           ReadWhole(parser, "nodes", 2, kMaxReplayNodes, &options.nodes),
-           ReadReal(parser, "radio", 0.0, false, kMaxWhole,
+           ReadWhole(parser, "nodes", kIntMin, kIntMax, &options.nodes),
+           ReadReal(parser, "radio", -max_real, true, max_real,
                     &options.radio_range),
-           ReadWhole(parser, "rounds", 1, kMaxReplayRounds, &options.rounds),
-           ReadWhole(parser, "seed", 0, 0x1.fffffffffffffp+63, &options.seed),
-           ReadReal(parser, "phi", 0.0, true, 1.0, &options.phi),
-           ReadReal(parser, "period", 0.0, false, kMaxWhole,
+           ReadWhole(parser, "rounds", kIntMin, kIntMax, &options.rounds),
+           ReadWhole(parser, "seed", 0, kMaxWhole, &options.seed),
+           ReadReal(parser, "phi", -max_real, true, max_real, &options.phi),
+           ReadReal(parser, "period", -max_real, true, max_real,
                     &options.period_rounds),
-           ReadReal(parser, "noise", 0.0, true, 100.0, &options.noise_percent),
-           ReadWhole(parser, "max_retx", 0, kMaxReplayRetx, &options.max_retx),
-           ReadWhole(parser, "crash_round", 0, kMaxReplayRounds,
+           ReadReal(parser, "noise", -max_real, true, max_real,
+                    &options.noise_percent),
+           ReadWhole(parser, "max_retx", kIntMin, kIntMax, &options.max_retx),
+           ReadWhole(parser, "crash_round", 0, kMcMaxRounds,
                      &crash.crash_round),
-           ReadWhole(parser, "crash_len", 0, kMaxReplayRounds,
-                     &crash.crash_len),
+           ReadWhole(parser, "crash_len", 0, kMcMaxRounds, &crash.crash_len),
        }) {
     if (!field.ok()) return field;
   }
   if (parser.HasNumber("arq")) {
     options.arq = parser.GetNumber("arq") != 0.0;
+  }
+  Status in_range = ValidateMcOptions(options);
+  if (!in_range.ok()) {
+    return Status::InvalidArgument("repro JSON: " + in_range.message());
   }
   // After "nodes": the victim is a label of this deployment, or -1 (none).
   Status victim = ReadWhole(parser, "crash_victim", -1, options.nodes - 1,

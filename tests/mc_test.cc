@@ -98,6 +98,84 @@ TEST(ReproJsonTest, RoundTripsEveryField) {
   EXPECT_EQ(got.detail, repro.detail);
 }
 
+/// Options at the largest value ValidateMcOptions accepts in every field.
+McOptions LargestAcceptedOptions() {
+  McOptions options;
+  options.nodes = kMcMaxNodes;
+  options.rounds = kMcMaxRounds;
+  options.seed = kMcMaxSeed;
+  options.radio_range = std::numeric_limits<double>::max();
+  options.phi = 1.0;
+  options.period_rounds = std::numeric_limits<double>::max();
+  options.noise_percent = 100.0;
+  options.max_retx = kMcMaxRetx;
+  options.crash_lens = {kMcMaxRounds};
+  return options;
+}
+
+TEST(ReproJsonTest, RoundTripsTheLargestAcceptedOptions) {
+  McRepro repro;
+  repro.options = LargestAcceptedOptions();
+  ASSERT_TRUE(ValidateMcOptions(repro.options).ok());
+  repro.schedule.drops = {0, 9007199254740992};
+  repro.schedule.crash.victim = kMcMaxNodes - 1;
+  repro.schedule.crash.crash_round = kMcMaxRounds - 1;
+  repro.schedule.crash.crash_len = kMcMaxRounds;
+
+  StatusOr<McRepro> parsed = ReproFromJson(ReproToJson(repro));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const McOptions& got = parsed.value().options;
+  EXPECT_EQ(got.nodes, repro.options.nodes);
+  EXPECT_EQ(got.rounds, repro.options.rounds);
+  EXPECT_EQ(got.seed, repro.options.seed);
+  EXPECT_EQ(got.radio_range, repro.options.radio_range);
+  EXPECT_EQ(got.phi, repro.options.phi);
+  EXPECT_EQ(got.period_rounds, repro.options.period_rounds);
+  EXPECT_EQ(got.noise_percent, repro.options.noise_percent);
+  EXPECT_EQ(got.max_retx, repro.options.max_retx);
+  EXPECT_EQ(parsed.value().schedule.drops, repro.schedule.drops);
+  EXPECT_EQ(parsed.value().schedule.crash.victim, repro.schedule.crash.victim);
+  EXPECT_EQ(parsed.value().schedule.crash.crash_round,
+            repro.schedule.crash.crash_round);
+  EXPECT_EQ(parsed.value().schedule.crash.crash_len,
+            repro.schedule.crash.crash_len);
+}
+
+TEST(ReproJsonTest, OptionsOnePastABoundAreRejectedEverywhere) {
+  // Each edit steps one field just past its bound. ValidateMcOptions (the
+  // wsnq_mc flag check) and ReproFromJson must both refuse it.
+  const std::vector<void (*)(McOptions*)> past_a_bound = {
+      [](McOptions* o) { o->nodes = kMcMaxNodes + 1; },
+      [](McOptions* o) { o->nodes = 1; },
+      [](McOptions* o) { o->rounds = kMcMaxRounds + 1; },
+      [](McOptions* o) { o->rounds = 0; },
+      [](McOptions* o) { o->seed = kMcMaxSeed + 2; },
+      [](McOptions* o) { o->radio_range = 0.0; },
+      [](McOptions* o) { o->phi = 1.5; },
+      [](McOptions* o) { o->period_rounds = -1.0; },
+      [](McOptions* o) { o->noise_percent = 150.0; },
+      [](McOptions* o) { o->max_retx = kMcMaxRetx + 1; },
+      [](McOptions* o) { o->max_retx = -1; },
+  };
+  for (size_t i = 0; i < past_a_bound.size(); ++i) {
+    McRepro repro;
+    repro.options = TinyOptions();
+    past_a_bound[i](&repro.options);
+    const Status check = ValidateMcOptions(repro.options);
+    EXPECT_EQ(check.code(), StatusCode::kInvalidArgument) << "edit " << i;
+    const StatusOr<McRepro> parsed = ReproFromJson(ReproToJson(repro));
+    ASSERT_FALSE(parsed.ok()) << "edit " << i;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << "edit " << i;
+  }
+  McOptions options = TinyOptions();
+  options.crash_lens = {1, kMcMaxRounds + 1};
+  EXPECT_FALSE(ValidateMcOptions(options).ok());
+  options = TinyOptions();
+  options.max_crashes = 2;
+  EXPECT_FALSE(ValidateMcOptions(options).ok());
+}
+
 TEST(ReproJsonTest, RejectsUnknownKeysAndMalformedInput) {
   EXPECT_FALSE(ReproFromJson("{\"bogus_key\": 1}").ok());
   EXPECT_FALSE(ReproFromJson("not json at all").ok());

@@ -8,8 +8,10 @@
 //
 // Flags:
 //   --nodes=N         total vertices, sensors + root (default 8, bound 12)
-//   --rounds=R        rounds per schedule incl. initialization (default 4)
+//   --rounds=R        rounds per schedule incl. initialization (default 4,
+//                     bound 10000)
 //   --radio=M --seed=S --phi=F --period=P --noise=PSI    scenario knobs
+//                     (seed <= 2^53, phi in [0, 1], noise in [0, 100])
 //   --algo=NAME[,..]  protocols to check (default: the six exact ones)
 //   --max-drops=D     drop budget of the crash-free subspace (default 2)
 //   --max-crashes=C   0 or 1 crashed node (default 0)
@@ -17,7 +19,7 @@
 //   --crash-lens=L[,..]    crash window lengths (default 1,2)
 //   --no-arq          check the unreliable transport (drops go unrepaired;
 //                     only the structural invariants are asserted)
-//   --max-retx=N      ARQ retransmission budget (default 16)
+//   --max-retx=N      ARQ retransmission budget (default 16, bound 1000)
 //   --threads=N       workers (0 = auto; counts bit-identical regardless)
 //   --stats=PATH      write exploration statistics as JSON
 //   --repro-dir=DIR   write each minimized counterexample as DIR/<name>.json
@@ -26,8 +28,10 @@
 // Exit status: 0 = explored clean (or replay clean), 1 = violations found
 // (minimized; written to --repro-dir when given), 2 = bad flags.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,20 +104,26 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Whole-number bounds saturate at int's range, so ValidateMcOptions
+  // below sees an out-of-range value rather than a wrapped one.
+  const auto bound = [&flags](const char* name, int fallback) {
+    return static_cast<int>(std::clamp<int64_t>(
+        flags.GetInt(name, fallback), std::numeric_limits<int>::min(),
+        std::numeric_limits<int>::max()));
+  };
   McOptions options;
-  options.nodes = static_cast<int>(flags.GetInt("nodes", 8));
-  options.rounds = static_cast<int>(flags.GetInt("rounds", 4));
+  options.nodes = bound("nodes", 8);
+  options.rounds = bound("rounds", 4);
   options.radio_range = flags.GetDouble("radio", 80.0);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   options.phi = flags.GetDouble("phi", 0.5);
   options.period_rounds = flags.GetDouble("period", 10.0);
   options.noise_percent = flags.GetDouble("noise", 15.0);
-  options.max_drops = static_cast<int>(flags.GetInt("max-drops", 2));
-  options.max_crashes = static_cast<int>(flags.GetInt("max-crashes", 0));
-  options.crash_max_drops =
-      static_cast<int>(flags.GetInt("crash-max-drops", 1));
+  options.max_drops = bound("max-drops", 2);
+  options.max_crashes = bound("max-crashes", 0);
+  options.crash_max_drops = bound("crash-max-drops", 1);
   options.arq = !flags.GetBool("no-arq", false);
-  options.max_retx = static_cast<int>(flags.GetInt("max-retx", 16));
+  options.max_retx = bound("max-retx", 16);
   options.threads = static_cast<int>(flags.GetInt("threads", 0));
   const std::string algo_list = flags.GetString("algo", "");
   const std::string crash_lens = flags.GetString("crash-lens", "");
@@ -127,14 +137,6 @@ int main(int argc, char** argv) {
   }
   for (const std::string& unused : flags.UnusedFlags()) {
     std::fprintf(stderr, "unknown flag --%s (try --help)\n", unused.c_str());
-    return 2;
-  }
-  if (options.nodes < 2 || options.rounds < 1 || options.max_drops < 0 ||
-      options.max_crashes < 0 || options.max_crashes > 1 ||
-      options.crash_max_drops < 0) {
-    std::fprintf(stderr,
-                 "bounds out of range: need nodes >= 2, rounds >= 1, "
-                 "max-drops >= 0, max-crashes in {0, 1}\n");
     return 2;
   }
   if (!algo_list.empty()) {
@@ -158,6 +160,12 @@ int main(int argc, char** argv) {
       }
       options.crash_lens.push_back(v);
     }
+  }
+  const Status in_range = ValidateMcOptions(options);
+  if (!in_range.ok()) {
+    std::fprintf(stderr, "bounds out of range: %s\n",
+                 in_range.message().c_str());
+    return 2;
   }
 
   if (!replay_path.empty()) return Replay(replay_path);
