@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -278,22 +279,6 @@ Status ReadWhole(const FlatJsonParser& parser, const char* key, double lo,
   return Status::Ok();
 }
 
-/// Reads the optional real field `key` into `*out`, checking that it is
-/// finite and lies in (lo, hi] (`lo` itself admitted when `lo_closed`).
-Status ReadReal(const FlatJsonParser& parser, const char* key, double lo,
-                bool lo_closed, double hi, double* out) {
-  if (!parser.HasNumber(key)) return Status::Ok();
-  const double v = parser.GetNumber(key);
-  const bool above = lo_closed ? v >= lo : v > lo;
-  if (!std::isfinite(v) || !above || !(v <= hi)) {
-    return Status::InvalidArgument(
-        std::string("repro JSON: \"") + key + "\" must be a number in " +
-        (lo_closed ? "[" : "(") + DoubleLiteral(lo) + ", " +
-        DoubleLiteral(hi) + "]");
-  }
-  *out = v;
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -407,23 +392,22 @@ StatusOr<McRepro> ReproFromJson(const std::string& json) {
     if (!kind.ok()) return kind.status();
     repro.algo = kind.value();
   }
-  // Every field is range-checked before its cast: each whole number must
-  // fit its field's type, and then the options must pass the checker's own
-  // range check, the one wsnq_mc's flags pass too.
+  // Every whole number must fit its field's type before its cast; then the
+  // options must pass the checker's own range check, the one wsnq_mc's
+  // flags pass too (it also refuses non-finite reals).
   McOptions& options = repro.options;
   McCrashSpec& crash = repro.schedule.crash;
-  const double max_real = std::numeric_limits<double>::max();
+  for (const auto& [key, field] :
+       {std::pair{"radio", &options.radio_range},
+        std::pair{"phi", &options.phi},
+        std::pair{"period", &options.period_rounds},
+        std::pair{"noise", &options.noise_percent}}) {
+    if (parser.HasNumber(key)) *field = parser.GetNumber(key);
+  }
   for (const Status& field : {
            ReadWhole(parser, "nodes", kIntMin, kIntMax, &options.nodes),
-           ReadReal(parser, "radio", -max_real, true, max_real,
-                    &options.radio_range),
            ReadWhole(parser, "rounds", kIntMin, kIntMax, &options.rounds),
            ReadWhole(parser, "seed", 0, kMaxWhole, &options.seed),
-           ReadReal(parser, "phi", -max_real, true, max_real, &options.phi),
-           ReadReal(parser, "period", -max_real, true, max_real,
-                    &options.period_rounds),
-           ReadReal(parser, "noise", -max_real, true, max_real,
-                    &options.noise_percent),
            ReadWhole(parser, "max_retx", kIntMin, kIntMax, &options.max_retx),
            ReadWhole(parser, "crash_round", 0, kMcMaxRounds,
                      &crash.crash_round),

@@ -22,11 +22,6 @@ std::shared_ptr<const std::vector<int>> Identity(size_t n) {
 
 }  // namespace
 
-Network::Network(RadioGraph graph, SpanningTree tree, EnergyModel energy,
-                 Packetizer packetizer)
-    : Network(std::make_shared<const RadioGraph>(std::move(graph)),
-              std::move(tree), energy, packetizer) {}
-
 PostOrderLayout::PostOrderLayout(const SpanningTree& labelled)
     : labels(labelled.post_order) {
   WSNQ_CHECK_EQ(labels.size(), labelled.parent.size());
@@ -36,6 +31,11 @@ PostOrderLayout::PostOrderLayout(const SpanningTree& labelled)
   }
   tree = RelabelTree(labelled, vertex_of_label);
 }
+
+Network::Network(RadioGraph graph, SpanningTree tree, EnergyModel energy,
+                 Packetizer packetizer)
+    : Network(std::make_shared<const RadioGraph>(std::move(graph)),
+              std::move(tree), energy, packetizer) {}
 
 Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
                  EnergyModel energy, Packetizer packetizer)

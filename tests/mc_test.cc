@@ -168,6 +168,9 @@ TEST(ReproJsonTest, OptionsOnePastABoundAreRejectedEverywhere) {
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
         << "edit " << i;
   }
+  // A real too large for a double parses as infinity.
+  EXPECT_FALSE(ReproFromJson("{\"radio\": 1e999}").ok());
+  EXPECT_FALSE(ReproFromJson("{\"noise\": 1e999}").ok());
   McOptions options = TinyOptions();
   options.crash_lens = {1, kMcMaxRounds + 1};
   EXPECT_FALSE(ValidateMcOptions(options).ok());
