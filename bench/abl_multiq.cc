@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "algo/iq.h"
@@ -14,9 +13,7 @@
 #include "core/scenario.h"
 #include "bench/bench_common.h"
 #include "core/experiment.h"
-#include "net/wave.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace wsnq;
@@ -31,44 +28,27 @@ int main(int argc, char** argv) {
   }
   const int runs = RunsFromEnv(20);
 
-  // Per-run measurements, filled by the pool and folded in run order so
-  // the output matches the serial path bit-for-bit.
+  // Per-run measurements, filled by the run tasks and folded in run order
+  // so the output matches the serial path bit-for-bit.
   struct RunRow {
     double shared_energy = 0.0, shared_packets = 0.0;
     double indep_energy = 0.0, indep_packets = 0.0;
   };
   std::vector<RunRow> per_run(static_cast<size_t>(runs));
-  // Threads left over after the run-level fan-out drive in-run subtree
-  // parallelism, exactly like core/experiment.cc's ExecuteRun; the wave
-  // engine's ordered fold keeps stdout byte-identical either way.
-  const int resolved = ResolveThreads(config.threads);
-  const int pool_threads = std::min<int>(resolved, runs);
-  const int wave_threads = std::max(1, resolved / std::max(1, pool_threads));
-  ThreadPool pool(pool_threads);
-  const Status status = pool.ParallelFor(runs, [&](int64_t run_index) -> Status {
-    const int run = static_cast<int>(run_index);
+  const auto run_task = [&](int run, Scenario& scenario) -> Status {
     RunRow& out = per_run[static_cast<size_t>(run)];
-    // Declared before the scenario so the Network never outlives the
-    // executor it borrows.
-    std::optional<WaveExecutor> wave_executor;
-    auto scenario = BuildScenario(config, run);
-    if (!scenario.ok()) return scenario.status();
-    Network* net = scenario.value().network.get();
-    if (config.subtree_parallel) {
-      wave_executor.emplace(wave_threads, /*target_parts=*/4 * wave_threads);
-      net->set_wave_executor(&*wave_executor);
-    }
+    Network* net = scenario.network.get();
     const int64_t n = net->num_sensors();
     const std::vector<int64_t> ks = {n / 4, n / 2, 3 * n / 4};
 
     // Shared multi-quantile query.
     net->ResetAccounting();
-    MultiIqProtocol multi(ks, scenario.value().source->range_min(),
-                          scenario.value().source->range_max(), config.wire);
+    MultiIqProtocol multi(ks, scenario.source->range_min(),
+                          scenario.source->range_max(), config.wire);
     double max_round_sum = 0.0;
     for (int64_t t = 0; t <= config.rounds; ++t) {
       net->BeginRound();
-      multi.RunRound(net, scenario.value().ValuesByVertex(t), t);
+      multi.RunRound(net, scenario.ValuesByVertex(t), t);
       max_round_sum += net->MaxRoundEnergyOverSensors();
     }
     out.shared_energy = max_round_sum / (config.rounds + 1);
@@ -84,11 +64,11 @@ int main(int argc, char** argv) {
     int64_t total_packets = 0;
     for (int64_t k : ks) {
       net->ResetAccounting();
-      IqProtocol iq(k, scenario.value().source->range_min(),
-                    scenario.value().source->range_max(), config.wire, {});
+      IqProtocol iq(k, scenario.source->range_min(),
+                    scenario.source->range_max(), config.wire, {});
       for (int64_t t = 0; t <= config.rounds; ++t) {
         net->BeginRound();
-        iq.RunRound(net, scenario.value().ValuesByVertex(t), t);
+        iq.RunRound(net, scenario.ValuesByVertex(t), t);
         for (int v = 0; v < net->num_vertices(); ++v) {
           per_round_energy[static_cast<size_t>(t) *
                                static_cast<size_t>(net->num_vertices()) +
@@ -114,7 +94,9 @@ int main(int argc, char** argv) {
     out.indep_packets =
         static_cast<double>(total_packets) / (config.rounds + 1);
     return Status::Ok();
-  });
+  };
+  const Status status =
+      ForEachRun(config, runs, /*cache=*/nullptr, run_task);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return bench::FinishObservability(1);

@@ -30,9 +30,9 @@ struct CommonOptions {
 
 /// The file outputs a bench can feed besides the profile, which every
 /// bench reports. Benches built on RunSweep or RunExperiment feed both; a
-/// hand-rolled bench that folds no run traces or writes no aggregate rows
-/// turns the matching field off, and ParseCommonFlags then rejects that
-/// flag instead of accepting it and writing nothing.
+/// bench that traces no runs or writes no aggregate rows turns the
+/// matching field off, and ParseCommonFlags then rejects that flag instead
+/// of accepting it and writing nothing.
 struct Outputs {
   bool trace = true;    ///< run traces reach trace::GlobalSink()
   bool metrics = true;  ///< aggregates go through MetricsCsv::AddRows
@@ -115,8 +115,8 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
 }
 
 /// FinishObservability (core/report.h) with the --profile path parsed by
-/// ParseCommonFlags. RunSweep calls this; hand-rolled benches return
-/// through it.
+/// ParseCommonFlags. RunSweep calls this; every other bench returns
+/// through it too.
 inline int FinishObservability(int code) {
   return wsnq::FinishObservability(code, Options().profile_path);
 }
@@ -181,13 +181,8 @@ inline int RunSweep(
     const SimulationConfig& base, const std::vector<AlgorithmKind>& algorithms,
     const std::function<void(const std::string&, SimulationConfig*)>&
         configure) {
-  std::vector<ProtocolFactory> factories;
-  factories.reserve(algorithms.size());
-  for (AlgorithmKind kind : algorithms) {
-    factories.push_back(DefaultFactory(kind));
-  }
-  return RunSweep(figure, dataset, x_name, x_values, base, factories,
-                  configure);
+  return RunSweep(figure, dataset, x_name, x_values, base,
+                  DefaultFactories(algorithms), configure);
 }
 
 }  // namespace bench

@@ -5,10 +5,8 @@
 // Refinement-heavy protocols pay serial round trips: an energy-cheap round
 // can still be slow, which matters when the sampling period is short.
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "algo/registry.h"
@@ -18,14 +16,12 @@
 #include "core/simulation.h"
 #include "core/experiment.h"
 #include "net/schedule.h"
-#include "net/wave.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 // One run's per-algorithm measurements; folded into the RunningStats on
-// the main thread in run order (see util/thread_pool.h).
+// the main thread in run order (see ForEachRun, core/experiment.h).
 struct RunRow {
   double floods = 0.0;
   double ccs = 0.0;
@@ -58,24 +54,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<RunRow>> per_run(
       static_cast<size_t>(runs), std::vector<RunRow>(algorithms.size()));
-  // Threads left over after the run-level fan-out drive in-run subtree
-  // parallelism, exactly like core/experiment.cc's ExecuteRun; the wave
-  // engine's ordered fold keeps stdout byte-identical either way.
-  const int resolved = ResolveThreads(config.threads);
-  const int pool_threads = std::min<int>(resolved, runs);
-  const int wave_threads = std::max(1, resolved / std::max(1, pool_threads));
-  ThreadPool pool(pool_threads);
-  const Status status = pool.ParallelFor(runs, [&](int64_t run) -> Status {
-    // Declared before the scenario so the Network never outlives the
-    // executor it borrows.
-    std::optional<WaveExecutor> wave_executor;
-    auto scenario = BuildScenario(config, static_cast<int>(run));
-    if (!scenario.ok()) return scenario.status();
-    Network* net = scenario.value().network.get();
-    if (config.subtree_parallel) {
-      wave_executor.emplace(wave_threads, /*target_parts=*/4 * wave_threads);
-      net->set_wave_executor(&*wave_executor);
-    }
+  const auto run_task = [&](int run, Scenario& scenario) -> Status {
+    Network* net = scenario.network.get();
     // The schedule colors the radio graph, so it takes the tree by label.
     const SpanningTree tree = RelabelTree(net->tree(), net->labels());
     const TdmaSchedule schedule(net->graph(), tree);
@@ -84,12 +64,11 @@ int main(int argc, char** argv) {
     const double flood_slots = static_cast<double>(schedule.FloodSlots());
 
     for (size_t i = 0; i < algorithms.size(); ++i) {
-      auto protocol = MakeProtocol(algorithms[i], scenario.value().k,
-                                   scenario.value().source->range_min(),
-                                   scenario.value().source->range_max(),
-                                   config.wire);
+      auto protocol = MakeProtocol(algorithms[i], scenario.k,
+                                   scenario.source->range_min(),
+                                   scenario.source->range_max(), config.wire);
       const SimulationResult result =
-          RunSimulation(scenario.value(), protocol.get(), config.rounds);
+          RunSimulation(scenario, protocol.get(), config.rounds);
       if (result.errors != 0) {
         return Status::Internal("exactness violated!");
       }
@@ -101,7 +80,9 @@ int main(int argc, char** argv) {
       row.energy = result.mean_max_round_energy_mj;
     }
     return Status::Ok();
-  });
+  };
+  const Status status =
+      ForEachRun(config, runs, /*cache=*/nullptr, run_task);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return bench::FinishObservability(1);

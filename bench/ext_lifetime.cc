@@ -4,15 +4,14 @@
 // survivors — so we can report when 1 / 10% / 25% of the network is gone
 // and how many exact answers the network produced before thinning to half.
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/experiment.h"
 #include "core/lifetime.h"
+#include "core/scenario.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace wsnq;
@@ -31,24 +30,27 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-9s %12s %12s %12s %12s %12s %10s\n", "figure",
               "algo", "first_death", "p10_death", "p25_death",
               "exact_rounds", "total_rounds", "epochs");
-  ThreadPool pool(std::min<int>(ResolveThreads(config.threads), runs));
-  for (AlgorithmKind kind : PaperAlgorithms()) {
+  const std::vector<AlgorithmKind> kinds = PaperAlgorithms();
+  // Every protocol plays over each run's scenario; results land in
+  // (run, protocol) slots and are folded below in run order.
+  std::vector<std::vector<LifetimeResult>> per_run(
+      static_cast<size_t>(runs), std::vector<LifetimeResult>(kinds.size()));
+  const Status status = ForEachRun(
+      config, runs, /*cache=*/nullptr, [&](int run, Scenario& scenario) {
+        for (size_t i = 0; i < kinds.size(); ++i) {
+          per_run[static_cast<size_t>(run)][i] =
+              RunLifetimeSimulation(config, scenario, kinds[i], options);
+        }
+        return Status::Ok();
+      });
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return bench::FinishObservability(1);
+  }
+  for (size_t i = 0; i < kinds.size(); ++i) {
     RunningStat first, p10, p25, exact, total, epochs;
-    // Runs fan out over the pool into index-addressed slots; the fold
-    // below walks them in run order, matching the serial path exactly.
-    std::vector<LifetimeResult> per_run(static_cast<size_t>(runs));
-    const Status status = pool.ParallelFor(runs, [&](int64_t run) -> Status {
-      auto result =
-          RunLifetimeSimulation(config, kind, static_cast<int>(run), options);
-      if (!result.ok()) return result.status();
-      per_run[static_cast<size_t>(run)] = std::move(result).value();
-      return Status::Ok();
-    });
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return bench::FinishObservability(1);
-    }
-    for (const LifetimeResult& r : per_run) {
+    for (int run = 0; run < runs; ++run) {
+      const LifetimeResult& r = per_run[static_cast<size_t>(run)][i];
       if (r.first_death_round >= 0) {
         first.Add(static_cast<double>(r.first_death_round));
       }
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
       epochs.Add(static_cast<double>(r.reinit_epochs));
     }
     std::printf("%-10s %-9s %12.0f %12.0f %12.0f %12.0f %12.0f %10.1f\n",
-                "ext-life", AlgorithmName(kind), first.mean(), p10.mean(),
+                "ext-life", AlgorithmName(kinds[i]), first.mean(), p10.mean(),
                 p25.mean(), exact.mean(), total.mean(), epochs.mean());
   }
   return bench::FinishObservability(0);

@@ -1,8 +1,7 @@
 // Bring-your-own-data workflow: export a trace to CSV (here a synthetic
 // one standing in for your deployment logs), read it back through the
 // trace-I/O substrate, build a network over SOM-derived positions, and run
-// a continuous median query on it. Also dumps the routing tree as Graphviz
-// DOT for inspection.
+// a continuous median query on it.
 //
 //   ./build/examples/custom_trace [trace.csv]
 
@@ -16,7 +15,6 @@
 #include "data/synthetic_trace.h"
 #include "data/trace_io.h"
 #include "net/network.h"
-#include "net/topology_io.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
@@ -70,9 +68,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   Network net = std::move(net_or).value();
-  const Status dot = WriteTopologyDot(net, "/tmp/wsnq_custom_topology.dot");
-  std::printf("topology: %s -> /tmp/wsnq_custom_topology.dot\n",
-              dot.ok() ? "exported" : dot.ToString().c_str());
 
   // 4. Continuous median over the file-backed measurements. Vertex v != 0
   // reads stream v (stream 0, the sink's, goes unused).

@@ -57,8 +57,10 @@ struct DrillOptions {
 /// the count below ub via `less_than_ub`, and the drill derives below_lb
 /// from its first histogram (§4.1.1).
 ///
-/// Preconditions: lb < ub; the k-th value is in [lb, ub); below_lb < k when
-/// known, else less_than_ub >= k... (the count below ub must cover rank k).
+/// Preconditions: lb < ub; on a reliable network, the k-th value is in
+/// [lb, ub) and below_lb < k when known, else less_than_ub >= k (the count
+/// below ub must cover rank k). On a lossy one the counts are best effort
+/// and the drill clamps them instead.
 DrillResult BAryDrill(Network* net, const std::vector<int64_t>& values,
                       int64_t lb, int64_t ub, int64_t below_lb, int64_t k,
                       const DrillOptions& options, const WireFormat& wire,

@@ -85,11 +85,6 @@ struct SimulationConfig {
   /// distributions (core/metrics_registry.h; exported via --metrics).
   /// Off by default — the default runs pay nothing for the registry.
   bool collect_metrics = false;
-
-  int64_t RankK() const {
-    const int64_t k = static_cast<int64_t>(phi * num_sensors);
-    return k < 1 ? 1 : (k > num_sensors ? num_sensors : k);
-  }
 };
 
 }  // namespace wsnq

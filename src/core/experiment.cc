@@ -26,6 +26,76 @@ ProtocolFactory DefaultFactory(AlgorithmKind kind) {
       }};
 }
 
+std::vector<ProtocolFactory> DefaultFactories(
+    const std::vector<AlgorithmKind>& algorithms) {
+  std::vector<ProtocolFactory> factories;
+  factories.reserve(algorithms.size());
+  for (AlgorithmKind kind : algorithms) {
+    factories.push_back(DefaultFactory(kind));
+  }
+  return factories;
+}
+
+Status ForEachRun(const SimulationConfig& config, int runs,
+                  ScenarioCache* cache, const RunTask& task) {
+  WSNQ_CHECK_GE(runs, 1);
+  // One trace buffer per run when a --trace sink is installed, folded
+  // below in run order (rebasing their logical ticks).
+  trace::TraceSink* sink = trace::GlobalSink();
+  std::vector<trace::TraceBuffer> buffers;
+  if (sink != nullptr) {
+    buffers.reserve(static_cast<size_t>(runs));
+    for (int run = 0; run < runs; ++run) buffers.emplace_back(run);
+  }
+
+  const int resolved = ResolveThreads(config.threads);
+  const int run_threads = std::min(resolved, runs);
+  // Threads left over after the run-level fan-out go to in-run subtree
+  // parallelism (e.g. 8 threads x 4 runs -> 2 wave threads per run). The
+  // wave engine's ordered fold makes the split invisible in every output
+  // bit, so this only reshapes where the wall-clock goes.
+  const int wave_threads = std::max(1, resolved / run_threads);
+  ThreadPool pool(run_threads);
+  // Each run re-derives its seeds from (config.seed, run), so no state is
+  // shared between tasks (the cached artifacts they alias are built once
+  // per key and const). A size-1 pool runs the tasks inline in index
+  // order. On failure ParallelFor reports the smallest failing run index,
+  // whose build Status is the one the cacheless BuildScenario(config, run)
+  // reports for that run.
+  const Status status = pool.ParallelFor(runs, [&](int64_t index) {
+    const int run = static_cast<int>(index);
+    trace::RunScope trace_scope(
+        sink != nullptr ? &buffers[static_cast<size_t>(run)] : nullptr);
+    // Declared before the scenario so the Network never outlives the
+    // executor it borrows (it is installed below, not owned).
+    std::optional<WaveExecutor> wave_executor;
+    StatusOr<Scenario> scenario = [&] {
+      // Builds the artifacts no earlier run (or sweep point) has built,
+      // and waits for any that another run is building; the rest is
+      // assembly.
+      prof::ScopedTimer timer("experiment/build_scenario");
+      return BuildScenario(config, run, cache);
+    }();
+    if (!scenario.ok()) return scenario.status();
+    if (config.subtree_parallel) {
+      // Each run gets its own wave pool so in-run subtree tasks never nest
+      // into the run-level pool (which would deadlock its ParallelFor).
+      // Oversplitting by 4x keeps the parts load-balanced; the partition
+      // never changes a bit of output, only wall-clock.
+      wave_executor.emplace(wave_threads, /*target_parts=*/4 * wave_threads);
+      scenario.value().network->set_wave_executor(&*wave_executor);
+    }
+    return task(run, scenario.value());
+  });
+  if (!status.ok()) return status;
+  if (sink != nullptr) {
+    // Every task has joined, so this thread may enter the fold phase.
+    ScopedSerialPhase fold_phase(FoldPhase());
+    for (const trace::TraceBuffer& buffer : buffers) sink->Fold(buffer);
+  }
+  return Status::Ok();
+}
+
 namespace {
 
 /// Folds one run's simulation result into an aggregate. Must be called in
@@ -50,118 +120,54 @@ void FoldRun(const SimulationResult& result, AlgorithmAggregate* agg)
   if (!result.metrics.empty()) agg->metrics.Merge(result.metrics);
 }
 
-/// Builds run `run`'s scenario and replays every factory's protocol over
-/// it, writing one result per factory into `results` (pre-sized). The
-/// factories of one run share the scenario's Network, so they execute
-/// serially inside the run's task; parallelism is across runs only.
-/// `buffer` (may be nullptr) collects the run's trace events; it is
-/// installed for the whole run so every protocol replay traces into the
-/// same per-run logical clock.
-Status ExecuteRun(const SimulationConfig& config,
-                  const std::vector<ProtocolFactory>& factories, int run,
-                  std::vector<SimulationResult>* results,
-                  trace::TraceBuffer* buffer, ScenarioCache* cache,
-                  int wave_threads) {
-  trace::RunScope trace_scope(buffer);
-  // Declared before the scenario so the Network never outlives the
-  // executor it borrows (it is installed below, not owned).
-  std::optional<WaveExecutor> wave_executor;
-  StatusOr<Scenario> scenario = [&] {
-    // Builds the artifacts no earlier run (or sweep point) has built, and
-    // waits for any that another run is building; the rest is assembly.
-    prof::ScopedTimer timer("experiment/build_scenario");
-    return BuildScenario(config, run, cache);
-  }();
-  if (!scenario.ok()) return scenario.status();
-  if (config.subtree_parallel) {
-    // Each run gets its own wave pool so in-run subtree tasks never nest
-    // into the run-level pool (which would deadlock its ParallelFor).
-    // Oversplitting by 4x keeps the parts load-balanced; the partition
-    // never changes a bit of output, only wall-clock.
-    wave_executor.emplace(std::max(1, wave_threads),
-                          /*target_parts=*/4 * std::max(1, wave_threads));
-    scenario.value().network->set_wave_executor(&*wave_executor);
-  }
-  // Materialize the rounds × vertices value matrix once per run: every
-  // factory's replay reads the identical rows instead of re-deriving them
-  // per protocol (the values are integers, so this is bit-identical to the
-  // lazy path).
-  {
-    prof::ScopedTimer timer("experiment/materialize_values");
-    scenario.value().MaterializeValues(config.rounds + 1);
-  }
-  prof::ScopedTimer timer("experiment/run_protocols");
-  for (size_t i = 0; i < factories.size(); ++i) {
-    std::unique_ptr<QuantileProtocol> protocol = factories[i].make(
-        scenario.value().k, scenario.value().source->range_min(),
-        scenario.value().source->range_max(), config.wire);
-    (*results)[i] = RunSimulation(scenario.value(), protocol.get(),
-                                  config.rounds, /*keep_trail=*/false,
-                                  config.collect_metrics);
-  }
-  return Status::Ok();
-}
-
 /// RunExperiment body: runs this point through `cache`, so RunSweep can
 /// share one cache across sweep points.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs,
     ScenarioCache* cache) {
-  WSNQ_CHECK_GE(runs, 1);
   std::vector<AlgorithmAggregate> aggregates(factories.size());
   for (size_t i = 0; i < factories.size(); ++i) {
     aggregates[i].label = factories[i].label;
   }
-
-  // One trace buffer per run when a --trace sink is installed; buffers are
-  // folded into the sink on this thread in run-index order (rebasing their
-  // logical ticks), so the serialized trace is bit-identical for every
-  // thread count — the same discipline as the aggregate fold below.
-  trace::TraceSink* sink = trace::GlobalSink();
-  std::vector<trace::TraceBuffer> buffers;
-  if (sink != nullptr) {
-    buffers.reserve(static_cast<size_t>(runs));
-    for (int run = 0; run < runs; ++run) buffers.emplace_back(run);
-  }
-  const auto buffer_for = [&](int run) {
-    return sink != nullptr ? &buffers[static_cast<size_t>(run)] : nullptr;
-  };
-
-  const int resolved = ResolveThreads(config.threads);
-  const int threads = std::min<int>(resolved, runs);
-  // Threads left over after the run-level fan-out go to in-run subtree
-  // parallelism (e.g. 8 threads x 4 runs -> 2 wave threads per run). The
-  // wave engine's ordered fold makes the split invisible in every
-  // output bit, so this only reshapes where the wall-clock goes.
-  const int wave_threads = std::max(1, resolved / std::max(1, threads));
-  ThreadPool pool(threads);
-  // Independent runs fan out over the deterministic pool (each run
-  // re-derives its seeds from (config.seed, run), so no state is shared
-  // between tasks — the cached artifacts they alias are built once per key
-  // and const); results land in index-addressed slots and are folded on
-  // this thread in run order, hence bit-identical aggregates for any thread
-  // count. A size-1 pool runs the tasks inline in index order. On failure
-  // ParallelFor reports the smallest failing run index, whose Status is the
-  // one the storeless BuildScenario(config, run) reports for that run.
+  // One result slot per (run, factory), folded below in run order. The
+  // factories of one run share the scenario's Network, so they execute
+  // serially inside the run's task; parallelism is across runs only.
   std::vector<std::vector<SimulationResult>> results(
       static_cast<size_t>(runs),
       std::vector<SimulationResult>(factories.size()));
-  Status status = pool.ParallelFor(runs, [&](int64_t run) {
-    return ExecuteRun(config, factories, static_cast<int>(run),
-                      &results[static_cast<size_t>(run)],
-                      buffer_for(static_cast<int>(run)), cache, wave_threads);
-  });
+  const Status status =
+      ForEachRun(config, runs, cache, [&](int run, Scenario& scenario) {
+        // Materialize the rounds x vertices value matrix once per run:
+        // every factory's replay reads the identical rows instead of
+        // re-deriving them per protocol (the values are integers, so this
+        // is bit-identical to the lazy path).
+        {
+          prof::ScopedTimer timer("experiment/materialize_values");
+          scenario.MaterializeValues(config.rounds + 1);
+        }
+        prof::ScopedTimer timer("experiment/run_protocols");
+        std::vector<SimulationResult>& out =
+            results[static_cast<size_t>(run)];
+        for (size_t i = 0; i < factories.size(); ++i) {
+          std::unique_ptr<QuantileProtocol> protocol = factories[i].make(
+              scenario.k, scenario.source->range_min(),
+              scenario.source->range_max(), config.wire);
+          out[i] = RunSimulation(scenario, protocol.get(), config.rounds,
+                                 /*keep_trail=*/false,
+                                 config.collect_metrics);
+        }
+        return Status::Ok();
+      });
   if (!status.ok()) return status;
   prof::ScopedTimer timer("experiment/sweep_fold");
-  // ParallelFor has returned: every run task is done (happens-before via
+  // ForEachRun has returned: every run task is done (happens-before via
   // the pool's join), so this thread may enter the fold phase.
   ScopedSerialPhase fold_phase(FoldPhase());
   for (int run = 0; run < runs; ++run) {
     for (size_t i = 0; i < factories.size(); ++i) {
       FoldRun(results[static_cast<size_t>(run)][i], &aggregates[i]);
     }
-    if (sink != nullptr) sink->Fold(buffers[static_cast<size_t>(run)]);
   }
   return aggregates;
 }
@@ -205,12 +211,7 @@ StatusOr<std::vector<SweepPointResult>> RunSweep(
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<AlgorithmKind>& algorithms, int runs) {
-  std::vector<ProtocolFactory> factories;
-  factories.reserve(algorithms.size());
-  for (AlgorithmKind kind : algorithms) {
-    factories.push_back(DefaultFactory(kind));
-  }
-  return RunExperiment(config, factories, runs);
+  return RunExperiment(config, DefaultFactories(algorithms), runs);
 }
 
 int ResolveThreads(int requested) {

@@ -20,6 +20,32 @@
 
 namespace wsnq {
 
+struct Scenario;
+class ScenarioCache;
+
+/// One run's body under ForEachRun: `run` indexes the run, and `scenario`
+/// is that run's own (its Network included), so the task may mutate it.
+/// Tasks of different runs execute concurrently: a task writes only to
+/// slots indexed by `run` and leaves folding to the caller.
+using RunTask = std::function<Status(int run, Scenario& scenario)>;
+
+/// The run driver every multi-run experiment goes through (§5.1.7: N runs
+/// per configuration, every compared protocol over the identical
+/// scenario). For runs [0, runs) it builds run `run`'s scenario through
+/// `cache` (nullable: built from scratch), installs the run's wave executor
+/// under config.subtree_parallel and the run's trace buffer, and calls
+/// `task(run, scenario)`.
+///
+/// Runs fan out over a deterministic thread pool (util/thread_pool.h) of
+/// min(threads, runs) workers, where threads is ResolveThreads(
+/// config.threads); each run's waves get the threads the run fan-out
+/// leaves over. After every task has returned, the run trace buffers are
+/// folded into trace::GlobalSink() in run order, so the serialized trace
+/// is bit-identical for every thread count. Returns the smallest failing
+/// run's Status (a failed scenario build or task), folding no trace then.
+Status ForEachRun(const SimulationConfig& config, int runs,
+                  ScenarioCache* cache, const RunTask& task);
+
 /// Cross-run aggregate of one algorithm under one configuration.
 struct AlgorithmAggregate {
   std::string label;
@@ -49,23 +75,25 @@ struct ProtocolFactory {
 /// Registry-default factory for `kind`.
 ProtocolFactory DefaultFactory(AlgorithmKind kind);
 
+/// DefaultFactory of each of `algorithms`, in order.
+std::vector<ProtocolFactory> DefaultFactories(
+    const std::vector<AlgorithmKind>& algorithms);
+
 /// Runs `runs` scenarios under `config`, replaying every factory's protocol
 /// over each; returns one aggregate per factory (in input order). Fails
 /// only if scenario construction fails.
 ///
-/// Independent runs are distributed over a deterministic thread pool
-/// (util/thread_pool.h) when `config.threads` resolves to more than one
-/// thread. Each run re-derives its random streams from (config.seed, run)
-/// and its per-run results are folded into the aggregates on the calling
-/// thread in run-index order, so the returned aggregates are bit-identical
-/// to the serial path for every thread count (tests/
-/// parallel_determinism_test.cc holds this to exact equality).
+/// The runs go through ForEachRun. Each run re-derives its random streams
+/// from (config.seed, run) and its per-run results are folded into the
+/// aggregates on the calling thread in run-index order, so the returned
+/// aggregates are bit-identical to the serial path for every thread count
+/// (tests/parallel_determinism_test.cc holds this to exact equality).
 ///
-/// Each run task builds its own scenario through a ScenarioCache, which
-/// builds every immutable artifact (radio graphs, value sources, tree
-/// templates) once, on first use, and shares it read-only across runs
-/// (core/scenario_cache.h); results are bit-identical to building each
-/// run's scenario from scratch.
+/// Scenarios build through a ScenarioCache, which builds every immutable
+/// artifact (radio graphs, value sources, tree templates) once, on first
+/// use, and shares it read-only across runs (core/scenario_cache.h);
+/// results are bit-identical to building each run's scenario from
+/// scratch.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs);

@@ -76,12 +76,10 @@ StatusOr<Epoch> BuildEpoch(const Scenario& base, const SimulationConfig& config,
 
 }  // namespace
 
-StatusOr<LifetimeResult> RunLifetimeSimulation(
-    const SimulationConfig& config, AlgorithmKind kind, int run,
-    const LifetimeOptions& options) {
-  StatusOr<Scenario> base = BuildScenario(config, run);
-  if (!base.ok()) return base.status();
-  const Network& deployment = *base.value().network;
+LifetimeResult RunLifetimeSimulation(const SimulationConfig& config,
+                                     const Scenario& base, AlgorithmKind kind,
+                                     const LifetimeOptions& options) {
+  const Network& deployment = *base.network;
   const int total_vertices = deployment.num_vertices();
   const int total_sensors = deployment.num_sensors();
   const int root = deployment.label(deployment.root());
@@ -99,7 +97,7 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
   while (round < options.max_rounds && gone <= stop_gone) {
     std::vector<int> cut_off;
     StatusOr<Epoch> epoch_or =
-        BuildEpoch(base.value(), config, &alive, &cut_off);
+        BuildEpoch(base, config, &alive, &cut_off);
     for (int v : cut_off) {
       result.deaths.push_back({round, v, /*battery=*/false});
       ++gone;
@@ -109,8 +107,8 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
     Network* net = epoch.network.get();
 
     auto protocol =
-        MakeProtocol(kind, epoch.k, base.value().source->range_min(),
-                     base.value().source->range_max(), config.wire);
+        MakeProtocol(kind, epoch.k, base.source->range_min(),
+                     base.source->range_max(), config.wire);
     ++result.reinit_epochs;
 
     // Measurements of the epoch's vertices (by epoch vertex id), refilled
@@ -118,7 +116,7 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
     std::vector<int64_t> values(epoch.original_of.size(), 0);
     std::vector<int> sensor_of(epoch.original_of.size());
     for (size_t v = 0; v < epoch.original_of.size(); ++v) {
-      sensor_of[v] = base.value().sensor_of_vertex[static_cast<size_t>(
+      sensor_of[v] = base.sensor_of_vertex[static_cast<size_t>(
           deployment.vertex_of(epoch.original_of[v]))];
     }
     // Run this epoch until somebody dies (round 0 of the protocol is its
@@ -128,7 +126,7 @@ StatusOr<LifetimeResult> RunLifetimeSimulation(
          ++epoch_round, ++round) {
       for (size_t v = 0; v < epoch.original_of.size(); ++v) {
         const int sensor = sensor_of[v];
-        if (sensor >= 0) values[v] = base.value().source->Value(sensor, round);
+        if (sensor >= 0) values[v] = base.source->Value(sensor, round);
       }
       net->BeginRound();
       protocol->RunRound(net, values, epoch_round);

@@ -17,9 +17,10 @@
 
 #include "algo/registry.h"
 #include "core/config.h"
-#include "util/status.h"
 
 namespace wsnq {
+
+struct Scenario;
 
 /// Extra knobs of the battery-drain simulation.
 struct LifetimeOptions {
@@ -52,12 +53,14 @@ struct LifetimeResult {
   std::vector<DeathEvent> deaths;
 };
 
-/// Plays `kind` over the scenario of (config, run) until the survivor
+/// Plays `kind` over `base`, the scenario of one run under `config`
+/// (ForEachRun, core/experiment.h, hands it over), until the survivor
 /// threshold or the round cap. The query always targets
 /// k = max(1, floor(phi * |alive|)) of the currently reachable sensors.
-StatusOr<LifetimeResult> RunLifetimeSimulation(const SimulationConfig& config,
-                                               AlgorithmKind kind, int run,
-                                               const LifetimeOptions& options);
+/// Reads `base` only: each epoch runs on a network of its own.
+LifetimeResult RunLifetimeSimulation(const SimulationConfig& config,
+                                     const Scenario& base, AlgorithmKind kind,
+                                     const LifetimeOptions& options);
 
 }  // namespace wsnq
 

@@ -92,15 +92,15 @@ namespace {
 template <typename T>
 using Artifact = StatusOr<std::shared_ptr<const T>>;
 
-/// The artifact under `key` from `store`, which calls `build` on the key's
-/// first use; without a store, `build`'s own result. Both paths execute the
+/// The artifact under `key` from `cache`, which calls `build` on the key's
+/// first use; without a cache, `build`'s own result. Both paths execute the
 /// identical construction code, so cached and uncached scenarios are
 /// bit-identical by construction.
 template <typename T, typename Build>
-Artifact<T> GetOrBuild(internal::ArtifactStore* store, const std::string& key,
+Artifact<T> GetOrBuild(ScenarioCache* cache, const std::string& key,
                        const Build& build) {
-  if (store == nullptr) return build();
-  StatusOr<std::shared_ptr<const void>> artifact = store->GetOrBuild(
+  if (cache == nullptr) return build();
+  StatusOr<std::shared_ptr<const void>> artifact = cache->GetOrBuild(
       key, [&]() -> StatusOr<std::shared_ptr<const void>> {
         Artifact<T> built = build();
         if (!built.ok()) return built.status();
@@ -113,16 +113,16 @@ Artifact<T> GetOrBuild(internal::ArtifactStore* store, const std::string& key,
 /// Run `run`'s routing-tree template rooted at `root` over the deployment
 /// `graph`, laid out in post order and shared under a key that extends
 /// `deploy_key`.
-Artifact<PostOrderLayout> RoutingTemplate(internal::ArtifactStore* store,
-                                       const std::string& deploy_key,
-                                       const RadioGraph& graph, int root,
-                                       const SimulationConfig& config,
-                                       int run) {
+Artifact<PostOrderLayout> RoutingTemplate(ScenarioCache* cache,
+                                          const std::string& deploy_key,
+                                          const RadioGraph& graph, int root,
+                                          const SimulationConfig& config,
+                                          int run) {
   const uint64_t salt = RoutingTreeSalt(config, run);
   const std::string key =
       internal::RoutingTreeKey(deploy_key, root, config.tree_strategy, salt);
   return GetOrBuild<PostOrderLayout>(
-      store, key, [&]() -> Artifact<PostOrderLayout> {
+      cache, key, [&]() -> Artifact<PostOrderLayout> {
         StatusOr<SpanningTree> routing =
             BuildRoutingTree(graph, root, config.tree_strategy, salt);
         if (!routing.ok()) return routing.status();
@@ -145,7 +145,7 @@ std::vector<int> SensorsByVertex(const Network& net,
 }
 
 StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
-                                  internal::ArtifactStore* store) {
+                                  ScenarioCache* cache) {
   // Deployment (placement + expanded root + radio graph): one Rng stream
   // draws the placement and then the root, so they form one cache unit.
   const auto build_deploy = [&]() -> Artifact<internal::SyntheticDeployment> {
@@ -194,14 +194,14 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
   };
   const std::string deploy_key = internal::SyntheticDeploymentKey(config, run);
   Artifact<internal::SyntheticDeployment> deployed =
-      GetOrBuild<internal::SyntheticDeployment>(store, deploy_key,
+      GetOrBuild<internal::SyntheticDeployment>(cache, deploy_key,
                                                 build_deploy);
   if (!deployed.ok()) return deployed.status();
   const std::shared_ptr<const internal::SyntheticDeployment> deploy =
       std::move(deployed).value();
 
   Artifact<PostOrderLayout> tree = RoutingTemplate(
-      store, deploy_key, *deploy->graph, deploy->root, config, run);
+      cache, deploy_key, *deploy->graph, deploy->root, config, run);
   if (!tree.ok()) return tree.status();
 
   const auto build_trace = [&]() -> Artifact<SyntheticTrace> {
@@ -211,7 +211,7 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
   };
   // The trace build cannot fail.
   const std::shared_ptr<const SyntheticTrace> trace =
-      GetOrBuild<SyntheticTrace>(store,
+      GetOrBuild<SyntheticTrace>(cache,
                                  internal::SyntheticSourceKey(config, run),
                                  build_trace)
           .value();
@@ -237,7 +237,7 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
 }
 
 StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
-                                 internal::ArtifactStore* store) {
+                                 ScenarioCache* cache) {
   // The trace (and its affine rescaling, which views it) is fixed across
   // runs (§5.1) — one cache unit, built once per seed, not per run.
   const auto build_workload = [&]() -> Artifact<internal::PressureWorkload> {
@@ -266,7 +266,7 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
   // The workload build cannot fail.
   const std::shared_ptr<const internal::PressureWorkload> workload =
       GetOrBuild<internal::PressureWorkload>(
-          store, internal::PressureWorkloadKey(config), build_workload)
+          cache, internal::PressureWorkloadKey(config), build_workload)
           .value();
 
   // SOM placement from the first measurements (§5.1.3) — also fixed across
@@ -289,7 +289,7 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
   };
   const std::string deploy_key = internal::PressureDeploymentKey(config);
   Artifact<RadioGraph> placed =
-      GetOrBuild<RadioGraph>(store, deploy_key, build_graph);
+      GetOrBuild<RadioGraph>(cache, deploy_key, build_graph);
   if (!placed.ok()) return placed.status();
   const std::shared_ptr<const RadioGraph> graph = std::move(placed).value();
 
@@ -299,7 +299,7 @@ StatusOr<Scenario> BuildPressure(const SimulationConfig& config, int run,
       rng.UniformInt(0, static_cast<int64_t>(graph->size()) - 1));
 
   Artifact<PostOrderLayout> tree =
-      RoutingTemplate(store, deploy_key, *graph, root, config, run);
+      RoutingTemplate(cache, deploy_key, *graph, root, config, run);
   if (!tree.ok()) return tree.status();
 
   Scenario scenario;
@@ -335,20 +335,16 @@ uint64_t RoutingTreeSalt(const SimulationConfig& config, int run) {
   return config.seed * 53 + static_cast<uint64_t>(run);
 }
 
-StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run) {
-  return BuildScenario(config, run, nullptr);
-}
-
 StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run,
-                                 internal::ArtifactStore* store) {
+                                 ScenarioCache* cache) {
   WSNQ_CHECK_GE(config.num_sensors, 1);
   StatusOr<Scenario> scenario = Status::InvalidArgument("unknown dataset");
   switch (config.dataset) {
     case DatasetKind::kSynthetic:
-      scenario = BuildSynthetic(config, run, store);
+      scenario = BuildSynthetic(config, run, cache);
       break;
     case DatasetKind::kPressure:
-      scenario = BuildPressure(config, run, store);
+      scenario = BuildPressure(config, run, cache);
       break;
   }
   if (scenario.ok() && config.fault.enabled()) {

@@ -22,7 +22,6 @@
 #define WSNQ_CORE_SCENARIO_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,29 +33,7 @@
 
 namespace wsnq {
 
-namespace internal {
-
-/// Seam between BuildScenario and the ScenarioCache: a string-keyed store
-/// of type-erased immutable artifacts (see core/scenario_cache.h for the
-/// key grammar). BuildScenario hands it each shareable artifact's key and
-/// builder; a null store (the uncached reference path) simply calls the
-/// builder. Both paths run the identical construction code, so cached and
-/// uncached scenarios are bit-identical by construction.
-class ArtifactStore {
- public:
-  /// Builds one artifact, or returns why it cannot be built.
-  using Builder = std::function<StatusOr<std::shared_ptr<const void>>()>;
-
-  virtual ~ArtifactStore() = default;
-
-  /// The artifact under `key`, calling `build` when no caller has built it
-  /// yet. A failed build's Status is the key's result too. `build` must not
-  /// look up `key` itself.
-  virtual StatusOr<std::shared_ptr<const void>> GetOrBuild(
-      const std::string& key, const Builder& build) = 0;
-};
-
-}  // namespace internal
+class ScenarioCache;
 
 /// A fully instantiated simulation scenario for one run.
 struct Scenario {
@@ -121,13 +98,12 @@ struct Scenario {
 /// ParentSelection::kRandom reads it). Churn repair rebuilds with it too.
 uint64_t RoutingTreeSalt(const SimulationConfig& config, int run);
 
-/// Builds the scenario of run `run` under `config`.
-StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run);
-
-/// As above, sharing immutable artifacts through `store` (nullable). The
-/// returned scenario is bit-identical to the storeless overload.
+/// Builds the scenario of run `run` under `config`, sharing its immutable
+/// artifacts through `cache` when one is given. Both paths run the
+/// identical construction code, so a cached scenario is bit-identical to
+/// the uncached reference (cache == nullptr).
 StatusOr<Scenario> BuildScenario(const SimulationConfig& config, int run,
-                                 internal::ArtifactStore* store);
+                                 ScenarioCache* cache = nullptr);
 
 }  // namespace wsnq
 

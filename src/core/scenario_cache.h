@@ -35,7 +35,7 @@
 // rule keeps that guarantee from eroding.
 //
 // Determinism: BuildScenario runs the identical construction code with and
-// without a store (core/scenario.h, ArtifactStore), so cached and uncached
+// without a cache (core/scenario.h), so cached and uncached
 // scenarios — and therefore aggregates, traces, and goldens — are
 // bit-identical (tests/scenario_cache_test.cc).
 
@@ -43,6 +43,7 @@
 #define WSNQ_CORE_SCENARIO_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -106,14 +107,17 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 /// points), so cache hits span sweep points whose topology slice is
 /// invariant. Between points, Evict frees what no point still ahead can
 /// hit.
-class ScenarioCache final : public internal::ArtifactStore {
+class ScenarioCache {
  public:
+  /// Builds one artifact, or returns why it cannot be built.
+  using Builder = std::function<StatusOr<std::shared_ptr<const void>>()>;
+
   ScenarioCache() = default;
   ScenarioCache(const ScenarioCache&) = delete;
   ScenarioCache& operator=(const ScenarioCache&) = delete;
 
   /// Builds runs [0, runs) in run-index order on the calling thread and
-  /// returns the first failing run's Status — the one the storeless
+  /// returns the first failing run's Status — the one the uncached
   /// BuildScenario(config, run) reports for that run. Only the benchmark
   /// replay and tests still pre-build a point this way; RunExperiment
   /// builds inside its run tasks. Deleted once that replay calls RunSweep
@@ -133,9 +137,12 @@ class ScenarioCache final : public internal::ArtifactStore {
   /// the artifacts no caller has built yet. Safe to call concurrently.
   StatusOr<Scenario> Build(const SimulationConfig& config, int run);
 
-  // internal::ArtifactStore:
-  StatusOr<std::shared_ptr<const void>> GetOrBuild(
-      const std::string& key, const Builder& build) override
+  /// The artifact under `key`, calling `build` when no caller has built it
+  /// yet. A failed build's Status is the key's result too. `build` must not
+  /// look up `key` itself. BuildScenario hands each shareable artifact's
+  /// key and builder here.
+  StatusOr<std::shared_ptr<const void>> GetOrBuild(const std::string& key,
+                                                   const Builder& build)
       WSNQ_EXCLUDES(mu_);
 
   /// Keys looked up so far, failed builds included.

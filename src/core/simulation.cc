@@ -73,7 +73,7 @@ SimulationResult RunSimulation(const Scenario& scenario,
   for (int64_t round = 0; round < total_rounds; ++round) {
     WSNQ_TRACE_SET_ROUND(round);
     net->BeginRound();
-    // A materialized row when ExecuteRun pre-computed the value matrix
+    // A materialized row when RunExperiment pre-computed the value matrix
     // (every protocol replay then reads identical rows); otherwise computed
     // into the scenario's scratch row.
     const std::vector<int64_t>& values = scenario.ValuesView(round);

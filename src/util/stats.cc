@@ -55,11 +55,4 @@ double Median(std::vector<double> values) {
   return Quantile(std::move(values), 0.5);
 }
 
-int64_t KthSmallest(std::vector<int64_t> values, size_t k) {
-  WSNQ_CHECK_LT(k, values.size());
-  std::nth_element(values.begin(), values.begin() + static_cast<long>(k),
-                   values.end());
-  return values[k];
-}
-
 }  // namespace wsnq

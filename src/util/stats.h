@@ -47,10 +47,6 @@ double Quantile(std::vector<double> values, double q);
 /// Median convenience wrapper around Quantile(values, 0.5).
 double Median(std::vector<double> values);
 
-/// Exact k-th smallest (0-based) of an integer vector via nth_element.
-/// Precondition: 0 <= k < values.size().
-int64_t KthSmallest(std::vector<int64_t> values, size_t k);
-
 }  // namespace wsnq
 
 #endif  // WSNQ_UTIL_STATS_H_

@@ -194,8 +194,8 @@ void ClearGlobalSink();
 
 namespace prof {
 
-/// Profiling is off by default; Enable() is called by --profile / the
-/// WSNQ_PROFILE environment variable. All costs below are gated on this.
+/// Profiling is off by default; the --profile flag calls Enable(). All
+/// costs below are gated on this.
 bool Enabled();
 void Enable();
 

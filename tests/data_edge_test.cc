@@ -5,11 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/oracle.h"
 #include "data/noise_image.h"
 #include "data/pressure_trace.h"
 #include "data/synthetic_trace.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace wsnq {
 namespace {
@@ -107,7 +107,7 @@ TEST(PressureTraceEdgeTest, PerSampleMovementIsSmooth) {
   std::vector<double> medians;
   for (int t = 0; t <= 150; ++t) {
     medians.push_back(
-        static_cast<double>(KthSmallest(trace.Snapshot(t), 25)));
+        static_cast<double>(OracleKth(trace.Snapshot(t), 26)));
   }
   double max_step = 0.0, total_swing = 0.0;
   for (size_t i = 1; i < medians.size(); ++i) {

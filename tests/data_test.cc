@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/oracle.h"
 #include "data/noise_image.h"
 #include "data/pressure_trace.h"
 #include "data/range_scaler.h"
 #include "data/som.h"
 #include "data/synthetic_trace.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace wsnq {
 namespace {
@@ -99,7 +99,7 @@ TEST_F(SyntheticTraceTest, Deterministic) {
 TEST_F(SyntheticTraceTest, SinusoidMovesTheMedian) {
   const SyntheticTrace trace = MakeTrace(100, 0);
   auto median_at = [&](int64_t t) {
-    return KthSmallest(trace.Snapshot(t), 50);
+    return OracleKth(trace.Snapshot(t), 51);
   };
   // Quarter period up from t=0 must raise the median; three quarters must
   // lower it below the start.
@@ -124,9 +124,9 @@ TEST_F(SyntheticTraceTest, NoiseIncreasesRoundToRoundChurn) {
 TEST_F(SyntheticTraceTest, TemporalCorrelation) {
   const SyntheticTrace trace = MakeTrace(250, 5);
   // Consecutive medians move slowly relative to the range.
-  int64_t prev = KthSmallest(trace.Snapshot(0), 50);
+  int64_t prev = OracleKth(trace.Snapshot(0), 51);
   for (int t = 1; t < 50; ++t) {
-    const int64_t cur = KthSmallest(trace.Snapshot(t), 50);
+    const int64_t cur = OracleKth(trace.Snapshot(t), 51);
     EXPECT_LE(std::llabs(cur - prev), 40);
     prev = cur;
   }
@@ -343,7 +343,7 @@ TEST(RangeScalerTest, PreservesQuantileOrderStatistics) {
   const ScaledValueSource scaled(&trace, 16);
   const auto raw = trace.Snapshot(2);
   const auto mapped = scaled.Snapshot(2);
-  EXPECT_EQ(scaled.Scale(KthSmallest(raw, 50)), KthSmallest(mapped, 50));
+  EXPECT_EQ(scaled.Scale(OracleKth(raw, 51)), OracleKth(mapped, 51));
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/lifetime.h"
+#include "core/scenario.h"
 #include "util/env.h"
 
 namespace wsnq {
@@ -498,9 +499,10 @@ TEST(GoldenAggregate, LifetimeMatchesFrozenValues) {
   std::vector<LifetimeResult> results;
   for (const auto& policy : policies) {
     config.tree_strategy = policy.selection;
-    auto result = RunLifetimeSimulation(config, AlgorithmKind::kIq, 0, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    results.push_back(std::move(result).value());
+    StatusOr<Scenario> scenario = BuildScenario(config, 0);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    results.push_back(RunLifetimeSimulation(config, scenario.value(),
+                                            AlgorithmKind::kIq, options));
   }
 
   if (GetEnv("WSNQ_UPDATE_GOLDEN").has_value()) {

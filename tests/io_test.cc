@@ -1,4 +1,4 @@
-// Trace CSV round-trips, topology export, and the flag parser.
+// Trace CSV round-trips and the flag parser.
 
 #include <cstdio>
 #include <fstream>
@@ -10,9 +10,9 @@
 
 #include "data/synthetic_trace.h"
 #include "data/trace_io.h"
-#include "net/topology_io.h"
-#include "tests/test_scenario.h"
+#include "net/geometry.h"
 #include "util/flags.h"
+#include "util/rng.h"
 
 namespace wsnq {
 namespace {
@@ -114,39 +114,6 @@ TEST(TraceIoTest, InMemorySourceBounds) {
   EXPECT_EQ(source.rounds(), 2);
   EXPECT_EQ(source.Value(2, 1), 6);
   EXPECT_EQ(source.Snapshot(0), (std::vector<int64_t>{1, 2, 3}));
-}
-
-TEST(TopologyIoTest, DotContainsAllNodesAndTreeEdges) {
-  Network net = testing_support::MakeRandomNetwork(30, 5);
-  const std::string path = TempPath("topo.dot");
-  ASSERT_TRUE(WriteTopologyDot(net, path).ok());
-  std::stringstream buffer;
-  buffer << std::ifstream(path).rdbuf();
-  const std::string dot = buffer.str();
-  EXPECT_NE(dot.find("digraph wsnq"), std::string::npos);
-  // Every vertex declared; every non-root vertex has a tree edge.
-  int node_decls = 0, tree_edges = 0;
-  for (size_t pos = 0; (pos = dot.find("[pos=", pos)) != std::string::npos;
-       ++pos) {
-    ++node_decls;
-  }
-  for (size_t pos = 0; (pos = dot.find(" -> ", pos)) != std::string::npos;
-       ++pos) {
-    ++tree_edges;
-  }
-  EXPECT_EQ(node_decls, net.num_vertices());
-  EXPECT_GE(tree_edges, net.num_vertices() - 1);
-}
-
-TEST(TopologyIoTest, TreeCsvHasOneRowPerNonRoot) {
-  Network net = testing_support::MakeRandomNetwork(25, 9);
-  const std::string path = TempPath("tree.csv");
-  ASSERT_TRUE(WriteTreeCsv(net, path).ok());
-  std::ifstream in(path);
-  std::string line;
-  int rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 1 + net.num_vertices() - 1);  // header + edges
 }
 
 TEST(FlagParserTest, ParsesTypesAndPositionals) {

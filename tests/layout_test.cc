@@ -2,14 +2,12 @@
 // Every test hand-builds one deployment twice: in the identity layout,
 // where vertex id == label (placement index), and in the post-order layout
 // that simulated runs use. Whatever crosses the boundary — TransportPolicy
-// arguments, SendObserver senders, trace node ids, topology export — must
-// carry labels, so it must be identical between the two; per-vertex energy
-// read by label must be bit-identical too.
+// arguments, SendObserver senders, trace node ids — must carry labels, so
+// it must be identical between the two; per-vertex energy read by label
+// must be bit-identical too.
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -25,7 +23,6 @@
 #include "net/placement.h"
 #include "net/radio_graph.h"
 #include "net/spanning_tree.h"
-#include "net/topology_io.h"
 #include "net/wave.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -296,23 +293,6 @@ TEST(VertexLayoutTest, FaultPlanRepairAdoptsTreesBuiltOverLabels) {
   net.ResetAccounting();
   EXPECT_EQ(net.tree_epoch(), 0);
   EXPECT_EQ(&net.tree(), &layout->tree);
-}
-
-TEST(VertexLayoutTest, TopologyExportNamesNodesByLabel) {
-  const Deployment d = MakeDeployment();
-  const Network identity = IdentityLayout(d);
-  const Network net = InPostOrder(d);
-  const auto read = [](const std::string& path) {
-    std::ifstream in(path);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(WriteTreeCsv(identity, dir + "/identity.csv").ok());
-  ASSERT_TRUE(WriteTreeCsv(net, dir + "/post_order.csv").ok());
-  EXPECT_EQ(read(dir + "/post_order.csv"), read(dir + "/identity.csv"));
-  ASSERT_TRUE(WriteTopologyDot(identity, dir + "/identity.dot").ok());
-  ASSERT_TRUE(WriteTopologyDot(net, dir + "/post_order.dot").ok());
-  EXPECT_EQ(read(dir + "/post_order.dot"), read(dir + "/identity.dot"));
 }
 
 }  // namespace

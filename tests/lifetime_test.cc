@@ -5,6 +5,7 @@
 
 #include "core/experiment.h"
 #include "core/lifetime.h"
+#include "core/scenario.h"
 
 namespace wsnq {
 namespace {
@@ -18,14 +19,18 @@ SimulationConfig SmallConfig() {
   return config;
 }
 
+/// RunLifetimeSimulation over the scenario of run `run`.
+LifetimeResult Lifetime(const SimulationConfig& config, AlgorithmKind kind,
+                        int run, const LifetimeOptions& options) {
+  return RunLifetimeSimulation(config, BuildScenario(config, run).value(),
+                               kind, options);
+}
+
 TEST(LifetimeTest, RunsToSurvivorThresholdWithExactAnswers) {
   SimulationConfig config = SmallConfig();
   LifetimeOptions options;
   options.max_rounds = 8000;
-  auto result =
-      RunLifetimeSimulation(config, AlgorithmKind::kIq, 0, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const LifetimeResult& r = result.value();
+  const LifetimeResult r = Lifetime(config, AlgorithmKind::kIq, 0, options);
   // Somebody died and the network kept answering.
   EXPECT_GT(r.first_death_round, 0);
   EXPECT_GT(r.reinit_epochs, 1);
@@ -49,11 +54,9 @@ TEST(LifetimeTest, CheaperProtocolLivesLonger) {
   SimulationConfig config = SmallConfig();
   LifetimeOptions options;
   options.max_rounds = 8000;
-  auto iq = RunLifetimeSimulation(config, AlgorithmKind::kIq, 1, options);
-  auto tag = RunLifetimeSimulation(config, AlgorithmKind::kTag, 1, options);
-  ASSERT_TRUE(iq.ok());
-  ASSERT_TRUE(tag.ok());
-  EXPECT_GT(iq.value().first_death_round, tag.value().first_death_round);
+  const LifetimeResult iq = Lifetime(config, AlgorithmKind::kIq, 1, options);
+  const LifetimeResult tag = Lifetime(config, AlgorithmKind::kTag, 1, options);
+  EXPECT_GT(iq.first_death_round, tag.first_death_round);
 }
 
 TEST(LifetimeTest, FirstDeathConsistentWithExtrapolation) {
@@ -70,12 +73,10 @@ TEST(LifetimeTest, FirstDeathConsistentWithExtrapolation) {
   };
   LifetimeOptions options;
   options.max_rounds = 8000;
-  auto measured =
-      RunLifetimeSimulation(config, AlgorithmKind::kHbc, 0, options);
-  ASSERT_TRUE(measured.ok());
+  const LifetimeResult measured =
+      Lifetime(config, AlgorithmKind::kHbc, 0, options);
   const double extrapolated = scenario_extrapolation();
-  const double first =
-      static_cast<double>(measured.value().first_death_round);
+  const double first = static_cast<double>(measured.first_death_round);
   EXPECT_GT(first, extrapolated / 3.0);
   EXPECT_LT(first, extrapolated * 3.0);
 }
@@ -85,11 +86,10 @@ TEST(LifetimeTest, RoundCapRespected) {
   config.synthetic.noise_percent = 0;  // calm: batteries drain slowly
   LifetimeOptions options;
   options.max_rounds = 50;
-  auto result =
-      RunLifetimeSimulation(config, AlgorithmKind::kIq, 0, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result.value().end_round, 50);
-  EXPECT_LE(result.value().total_rounds, 50);
+  const LifetimeResult result =
+      Lifetime(config, AlgorithmKind::kIq, 0, options);
+  EXPECT_LE(result.end_round, 50);
+  EXPECT_LE(result.total_rounds, 50);
 }
 
 }  // namespace

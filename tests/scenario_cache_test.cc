@@ -266,7 +266,7 @@ TEST(ScenarioCacheTest, ConcurrentFirstUseBuildsEachKeyOnce) {
     ThreadPool pool(kThreads);
     std::atomic<int> arrived{0};
     std::atomic<int> builds{0};
-    const internal::ArtifactStore::Builder build =
+    const ScenarioCache::Builder build =
         [&]() -> StatusOr<std::shared_ptr<const void>> {
       ++builds;
       while (arrived.load() < kThreads) std::this_thread::yield();

@@ -152,14 +152,6 @@ TEST(StatsTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(Median({}), 0.0);
 }
 
-TEST(StatsTest, KthSmallest) {
-  std::vector<int64_t> v = {5, 1, 4, 1, 3};
-  EXPECT_EQ(KthSmallest(v, 0), 1);
-  EXPECT_EQ(KthSmallest(v, 1), 1);
-  EXPECT_EQ(KthSmallest(v, 2), 3);
-  EXPECT_EQ(KthSmallest(v, 4), 5);
-}
-
 TEST(StatusTest, OkAndError) {
   Status ok;
   EXPECT_TRUE(ok.ok());

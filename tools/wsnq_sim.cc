@@ -52,7 +52,6 @@
 #include "core/simulation.h"
 #include "fault/fault_cli.h"
 #include "util/flags.h"
-#include "util/mutex.h"
 #include "util/trace.h"
 
 namespace {
@@ -182,30 +181,22 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) trace::InstallGlobalSink(trace_path);
 
   if (trail) {
-    // Single-run per-round trace of the first algorithm.
-    auto scenario = BuildScenario(config, 0);
-    if (!scenario.ok()) {
-      std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
-      return 1;
-    }
-    auto protocol = MakeProtocol(kinds[0], scenario.value().k,
-                                 scenario.value().source->range_min(),
-                                 scenario.value().source->range_max(),
-                                 config.wire);
-    // The trail path is a single hand-rolled run, so it owns run 0's trace
-    // buffer directly instead of going through RunExperiment.
-    trace::TraceBuffer trace_buffer(0);
+    // Single-run per-round trace of the first algorithm, run through the
+    // run driver like every experiment.
     SimulationResult result;
-    {
-      trace::RunScope trace_scope(
-          trace::GlobalSink() != nullptr ? &trace_buffer : nullptr);
-      result = RunSimulation(scenario.value(), protocol.get(), config.rounds,
-                             /*keep_trail=*/true, config.collect_metrics);
-    }
-    if (trace::GlobalSink() != nullptr) {
-      // Single hand-rolled run on this thread; the fold phase holds.
-      ScopedSerialPhase fold_phase(FoldPhase());
-      trace::GlobalSink()->Fold(trace_buffer);
+    const Status status = ForEachRun(
+        config, /*runs=*/1, /*cache=*/nullptr, [&](int, Scenario& scenario) {
+          auto protocol = MakeProtocol(kinds[0], scenario.k,
+                                       scenario.source->range_min(),
+                                       scenario.source->range_max(),
+                                       config.wire);
+          result = RunSimulation(scenario, protocol.get(), config.rounds,
+                                 /*keep_trail=*/true, config.collect_metrics);
+          return Status::Ok();
+        });
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
     }
     MetricsCsv metrics;
     if (!metrics.Open(metrics_path)) {
