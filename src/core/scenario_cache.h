@@ -100,8 +100,9 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 /// Immutable-artifact cache for scenario construction. Typical lifecycle:
 ///
 ///   ScenarioCache cache;
-///   ... ThreadPool fans runs out; each task calls cache.Build(config, run)
-///       and gets aliased shared-immutable artifacts plus its own Network.
+///   ForEachRun(config, runs, &cache, task);  // core/experiment.h
+///   ... each run's scenario aliases the shared-immutable artifacts and
+///       owns its Network.
 ///
 /// One cache may serve many experiments (RunSweep keeps one across its
 /// points), so cache hits span sweep points whose topology slice is
